@@ -5,7 +5,7 @@ platform model.  E17 runs that loop at fleet scale: a generated cluster
 (seeded, ~20 machines) serves a seeded diurnal request trace under every
 registered governor policy, with P-state choices validated against the
 compiled runtime index and transition costs paid through each machine's
-PSM cursor.
+PSM switch plans.
 
 Shape: ``performance`` sets the energy ceiling at 100 % SLO;
 ``ondemand`` and ``race-to-idle`` cut energy at the *same* SLO;

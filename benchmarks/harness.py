@@ -101,9 +101,10 @@ MIN_QUERY_SPEEDUP = 5.0
 MAX_SERVE_DISPATCH_SLOWDOWN = 5.0
 
 #: Warm model open (mmap a v2 image, adopt its persisted index) must be
-#: at least this much faster than a from-scratch open (v1 decode + live
-#: index build) on the largest corpus model (acceptance criterion:
-#: >= 10x).  Self-consistent — both sides measured in the same run.
+#: at least this much faster than a from-scratch open (a core-only image,
+#: i.e. the same records plus a live index build) on the largest corpus
+#: model (acceptance criterion: >= 10x).  Self-consistent — both sides
+#: measured in the same run.
 MIN_COLD_OPEN_SPEEDUP = 10.0
 
 #: Synthetic model sizes (elements) for the cold-open scaling sweep.
@@ -340,11 +341,12 @@ def run_cold_init_bench(
 ) -> dict[str, Any]:
     """Measure cold model-open latency with and without a persisted index.
 
-    Serializes the composed ``system`` three ways — v2 image with index
-    sections, v2 image core-only, legacy v1 records — and times a full
-    :func:`repro.runtime.query.xpdl_init` open of each (best of 5), plus
-    an mmap-free ``from_bytes`` open of the indexed image to isolate the
-    mmap win.  Counters from the mmap open document that a warm reopen
+    Serializes the composed ``system`` two ways — v2 image with index
+    sections, and core-only (the same records without them, so its open
+    pays the index build a warm open skips: the from-scratch reference)
+    — and times a full :func:`repro.runtime.query.xpdl_init` open of
+    each (best of 5), plus an mmap-free ``from_bytes`` open of the
+    indexed image to isolate the mmap win.  Counters from the mmap open document that a warm reopen
     does *zero* index construction (``rebuilds`` must be 0).  A scaling
     sweep over synthetic models shows how the speedup grows with model
     size.
@@ -364,14 +366,11 @@ def run_cold_init_bench(
         paths = {
             "image_mmap": os.path.join(root, "indexed.xir"),
             "core_only": os.path.join(root, "core.xir"),
-            "v1_scratch": os.path.join(root, "legacy.xir"),
         }
         with open(paths["image_mmap"], "wb") as fh:
             fh.write(ir.to_bytes())
         with open(paths["core_only"], "wb") as fh:
             fh.write(build_image(ir, with_index=False))
-        with open(paths["v1_scratch"], "wb") as fh:
-            fh.write(ir.to_bytes_v1())
 
         opens: dict[str, float] = {}
         with warnings.catch_warnings():
@@ -397,7 +396,7 @@ def run_cold_init_bench(
                 k: round(v / calibration_s, 5) for k, v in opens.items()
             },
             "speedup_vs_scratch": round(
-                opens["v1_scratch"] / max(opens["image_mmap"], 1e-9), 2
+                opens["core_only"] / max(opens["image_mmap"], 1e-9), 2
             ),
             "rebuilds": obs.counters.get("index.rebuilds", 0),
             "mmap_loads": obs.counters.get("index.load_mmap", 0),
@@ -415,7 +414,7 @@ def run_cold_init_bench(
                 {
                     "nodes": n,
                     "image_mmap_ms": row["open_ms"]["image_mmap"],
-                    "v1_scratch_ms": row["open_ms"]["v1_scratch"],
+                    "scratch_ms": row["open_ms"]["core_only"],
                     "speedup": row["speedup_vs_scratch"],
                 }
             )
@@ -1252,7 +1251,7 @@ def summarize(data: dict[str, Any]) -> str:
             f"({cold.get('elements', '?')} elements, "
             f"{cold.get('rebuilds', '?')} rebuilds):"
         )
-        for name in ("image_mmap", "image_read", "core_only", "v1_scratch"):
+        for name in ("image_mmap", "image_read", "core_only"):
             ms = (cold.get("open_ms") or {}).get(name)
             if ms is None:
                 continue
@@ -1264,7 +1263,7 @@ def summarize(data: dict[str, Any]) -> str:
         for row in cold.get("scaling") or []:
             lines.append(
                 f"    {row['nodes']:7d} nodes   mmap {row['image_mmap_ms']:8.3f} ms  "
-                f"scratch {row['v1_scratch_ms']:9.3f} ms  "
+                f"scratch {row['scratch_ms']:9.3f} ms  "
                 f"speedup {row['speedup']:6.1f}x"
             )
     scale = data.get("scale") or {}

@@ -22,7 +22,6 @@ from .governors import (
     make_governor,
 )
 from .simulator import (
-    ENGINES,
     FleetReport,
     FleetSimulator,
     PolicyResult,
@@ -39,7 +38,6 @@ from .sweep import (
 )
 
 __all__ = [
-    "ENGINES",
     "SweepCell",
     "SweepCellResult",
     "SweepReport",

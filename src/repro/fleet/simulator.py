@@ -11,8 +11,9 @@ Per interval, for every machine:
 
 1. its governor picks a P-state from the machine's PSM (validated
    against the compiled :class:`~repro.runtime.index.IRIndex` state
-   catalog when one is supplied), and the cursor switches — paying the
-   declared transition time/energy, multi-hop if needed;
+   catalog when one is supplied), and the machine switches along the
+   PSM's switch plan — paying the declared transition time/energy,
+   multi-hop if needed;
 2. the fleet allocates demand greedily, fastest machines first; each
    machine serves up to ``floor((interval - switch_time) / request_time)``
    requests;
@@ -20,29 +21,21 @@ Per interval, for every machine:
    :meth:`~repro.simhw.machine.SimMachine.run_stream`, the idle tail
    through :meth:`~repro.simhw.machine.SimMachine.run_idle` (optionally
    parked in the PSM's lowest-power state for race-to-idle governors),
-   switches through the cursor deltas.
+   switches through the switch plans' time/energy.
 
 A machine inside a trace downtime window serves nothing and consumes
 nothing (hard power-off).  Everything is deterministic given (testbed,
 trace, policy): reports hash byte-identically across runs.
 
-Two engines produce the same physics:
-
-``memo`` (default)
-    Flat per-machine lookup tables keyed by interned state index
-    (:class:`_MachineTables`): switch plans, busy power, per-state
-    dynamic energy per mix entry, request times and zero-switch
-    capacities are each computed once per simulator and reused across
-    every interval, policy and trace.  The per-interval arithmetic
-    replays the cursor path's floating-point operations term-for-term
-    (same operand order, same association), so results are *bit*
-    identical — not merely close — to the reference engine.
-
-``cursor``
-    The original object-walking loop (fresh
-    :class:`~repro.power.PsmCursor` per policy, ``run_stream`` /
-    ``run_idle`` on the live machines).  Kept as the executable
-    specification; the equivalence tests pin ``memo`` against it.
+The interval loop runs on flat per-machine lookup tables keyed by
+interned state index (:class:`_MachineTables`): switch plans, busy
+power, per-state dynamic energy per mix entry, request times and
+zero-switch capacities are each computed once per simulator and reused
+across every interval, policy and trace.  The arithmetic replays
+``run_stream``, ``run_idle`` and the PSM switch plans term-for-term
+(same operand order, same association), so results are *bit* identical
+to walking a live :class:`~repro.power.PsmCursor` over each machine;
+the test suite keeps that walk as its oracle.
 """
 
 from __future__ import annotations
@@ -54,7 +47,6 @@ from dataclasses import dataclass, field
 
 from ..diagnostics import XpdlError
 from ..obs import get_observer
-from ..power import PsmCursor
 from ..simhw import SimMachine, SimTestbed
 from ..units import TIME, Quantity
 from .governors import Governor, make_governor
@@ -62,9 +54,6 @@ from .traces import Trace
 
 #: Instructions per request; split evenly across the machine's ISA mix.
 DEFAULT_REQUEST_OPS = 200_000
-
-#: Engine names accepted by :meth:`FleetSimulator.run_policy`.
-ENGINES = ("memo", "cursor")
 
 
 def _request_mix(machine: SimMachine, request_ops: int) -> dict[str, int]:
@@ -253,7 +242,7 @@ def index_state_catalog(ctx, testbed: SimTestbed) -> dict[str, frozenset[str]]:
 
 
 class _MachineTables:
-    """Flat per-machine lookup tables for the ``memo`` engine.
+    """Flat per-machine lookup tables for the interval loop.
 
     States are interned to list indices once; everything the interval
     loop needs becomes an indexed load: ``freq[s]``, ``run_power[s]``
@@ -262,8 +251,8 @@ class _MachineTables:
     ``(time, energy, hops)`` per ``(src, dst)`` pair, per-state dynamic
     energy per mix entry, and memoized ``run_stream`` outcomes per
     ``(state, n_requests)``.  Every float here is produced by the exact
-    expression the cursor engine evaluates, so downstream accumulation
-    is bit-identical.
+    expression ``run_stream``/``run_idle`` and the PSM switch plans
+    evaluate, so downstream accumulation is bit-identical.
     """
 
     __slots__ = (
@@ -329,7 +318,7 @@ class _MachineTables:
 
     def plan(self, src: int, dst: int) -> tuple[float, float, int]:
         """Switch cost ``(time_s, energy_j, hops)``; lazy so unreachable
-        pairs only raise when actually demanded, like the cursor."""
+        pairs only raise when actually demanded, like ``PsmCursor.go``."""
         hit = self._plans.get((src, dst))
         if hit is None:
             psm = self.machine.psm
@@ -370,18 +359,6 @@ class _MachineTables:
             hit = (bt, self.run_power[s] * bt + dyn)
             self._busy[(s, n)] = hit
         return hit
-
-
-@dataclass
-class _MachineState:
-    """Per-run bookkeeping for one machine (cursor engine)."""
-
-    machine: SimMachine
-    governor: Governor | None
-    mix: dict[str, int]
-    req_cycles: float
-    last_util: float
-    pred_cycles: float
 
 
 class FleetSimulator:
@@ -459,55 +436,9 @@ class FleetSimulator:
         return caps
 
     # -- policy run ----------------------------------------------------------
-    def _fresh_states(self, policy: str, interval_s: float) -> list[_MachineState]:
-        states = []
-        for name in sorted(self.testbed.machines):
-            m = self.testbed.machines[name]
-            if m.psm is not None:
-                # Fresh cursor per policy run: byte-stable, no cross-policy
-                # contamination of switch accounting.
-                m.cursor = PsmCursor(m.psm, m.psm.fastest().name)
-                governor: Governor | None = make_governor(policy, m.psm)
-                governor.reset()
-            else:
-                governor = None
-            states.append(
-                _MachineState(
-                    machine=m,
-                    governor=governor,
-                    mix=self._mixes[name],
-                    req_cycles=self._cycles[name],
-                    last_util=1.0,
-                    pred_cycles=self._machine_peak(m, interval_s)
-                    * self._cycles[name],
-                )
-            )
-        return states
-
-    def _checked_state(self, machine: str, state: str) -> str:
-        catalog = self.state_catalog.get(machine)
-        if catalog is not None:
-            get_observer().count("fleet.query.state_checks")
-            if state not in catalog:
-                raise XpdlError(
-                    f"governor chose state {state!r} for machine "
-                    f"{machine!r}, absent from the compiled index catalog"
-                )
-        return state
-
-    def run_policy(
-        self, policy: str, trace: Trace, *, engine: str = "memo"
-    ) -> PolicyResult:
-        if engine == "memo":
-            return self._run_policy_memo(policy, trace)
-        if engine == "cursor":
-            return self._run_policy_cursor(policy, trace)
-        raise XpdlError(
-            f"unknown fleet engine {engine!r}; engines: {', '.join(ENGINES)}"
-        )
-
-    # -- memo engine ---------------------------------------------------------
-    def _run_policy_memo(self, policy: str, trace: Trace) -> PolicyResult:
+    def run_policy(self, policy: str, trace: Trace) -> PolicyResult:
+        """Run one governor policy over ``trace``, every machine starting
+        in its fastest state."""
         obs = get_observer()
         interval_s = trace.interval_s
         interval_q = Quantity(interval_s, TIME)
@@ -675,149 +606,12 @@ class FleetSimulator:
 
                 obs.gauge("fleet.backlog", float(backlog))
         finally:
-            # Counter totals match the cursor engine even on a mid-run
-            # catalog-mismatch raise: the failing check is included.
+            # Every check made is counted, the one that raised on a
+            # catalog mismatch included.
             if checks:
                 obs.count("fleet.query.state_checks", checks)
 
         obs.count("fleet.intervals", trace.intervals)
-        obs.count("fleet.requests.offered", offered_total)
-        obs.count("fleet.requests.served", served_total)
-        obs.count("fleet.switches", switches)
-        obs.mark(
-            "fleet.policy",
-            policy=policy,
-            trace=trace.kind,
-            seed=trace.seed,
-            energy_j=round(busy_j + idle_j + switch_j, 6),
-        )
-        return PolicyResult(
-            policy=policy,
-            intervals=trace.intervals,
-            offered=offered_total,
-            served=served_total,
-            final_backlog=backlog,
-            slo_met_intervals=slo_met,
-            busy_j=busy_j,
-            idle_j=idle_j,
-            switch_j=switch_j,
-            switches=switches,
-        )
-
-    # -- cursor (reference) engine -------------------------------------------
-    def _run_policy_cursor(self, policy: str, trace: Trace) -> PolicyResult:
-        obs = get_observer()
-        interval_s = trace.interval_s
-        interval_q = Quantity(interval_s, TIME)
-        peak = self.peak_capacity(interval_s)
-        states = self._fresh_states(policy, interval_s)
-
-        backlog = 0
-        offered_total = 0
-        served_total = 0
-        slo_met = 0
-        busy_j = idle_j = switch_j = 0.0
-        switches = 0
-
-        for i in range(trace.intervals):
-            offered = int(round(trace.offered[i] * peak))
-            offered_total += offered
-            demand = offered + backlog
-
-            # Pass A: governor decisions + switches + capacities.
-            plans: list[tuple[_MachineState, bool, float, float, int]] = []
-            for st in states:
-                m = st.machine
-                down = trace.is_down(m.name, i)
-                sw_t = sw_e = 0.0
-                if down:
-                    plans.append((st, True, 0.0, 0.0, 0))
-                    continue
-                if st.governor is not None and m.cursor is not None:
-                    target = self._checked_state(
-                        m.name,
-                        st.governor.decide(
-                            m.cursor.current,
-                            st.last_util,
-                            backlog,
-                            st.pred_cycles,
-                            interval_q,
-                        ),
-                    )
-                    if target != m.cursor.current:
-                        plan = m.cursor.go(target)
-                        sw_t = plan.time.magnitude
-                        sw_e = plan.energy.magnitude
-                        switches += plan.hops
-                req_t = st.req_cycles / m.frequency.magnitude
-                capacity = max(0, int((interval_s - sw_t) / req_t))
-                plans.append((st, False, sw_t, sw_e, capacity))
-
-            # Pass B: greedy allocation, fastest machines first.
-            order = sorted(
-                range(len(plans)),
-                key=lambda k: (
-                    -plans[k][0].machine.frequency.magnitude,
-                    plans[k][0].machine.name,
-                ),
-            )
-            allocation = [0] * len(plans)
-            remaining = demand
-            for k in order:
-                st, down, _sw_t, _sw_e, capacity = plans[k]
-                if down or remaining <= 0:
-                    continue
-                n = min(capacity, remaining)
-                allocation[k] = n
-                remaining -= n
-            served = demand - remaining
-            backlog = remaining
-            served_total += served
-            if backlog == 0:
-                slo_met += 1
-
-            # Pass C: exact energy accounting.
-            for k, (st, down, sw_t, sw_e, _capacity) in enumerate(plans):
-                m = st.machine
-                if down:
-                    st.last_util = 0.0
-                    st.pred_cycles = 0.0
-                    continue
-                n = allocation[k]
-                switch_j += sw_e
-                busy_t = 0.0
-                if n > 0:
-                    counts = {
-                        name: count * n for name, count in st.mix.items()
-                    }
-                    run = m.run_stream(counts)
-                    busy_j += run.energy.magnitude
-                    busy_t = run.duration.magnitude
-                idle_t = max(0.0, interval_s - sw_t - busy_t)
-                if idle_t > 0.0:
-                    if (
-                        st.governor is not None
-                        and st.governor.wants_idle_parking
-                        and m.psm is not None
-                        and m.cursor is not None
-                    ):
-                        park = m.psm.idle_state().name
-                        if park != m.cursor.current:
-                            plan = m.psm.switch_plan(m.cursor.current, park)
-                            if plan.time.magnitude < idle_t:
-                                plan = m.cursor.go(park)
-                                switch_j += plan.energy.magnitude
-                                switches += plan.hops
-                                idle_t -= plan.time.magnitude
-                    rest = m.run_idle(Quantity(idle_t, TIME))
-                    idle_j += rest.energy.magnitude
-                st.last_util = min(1.0, (busy_t + sw_t) / interval_s)
-                st.pred_cycles = n * st.req_cycles
-                obs.record("fleet.machine.util", st.last_util)
-
-            obs.count("fleet.intervals")
-            obs.gauge("fleet.backlog", float(backlog))
-
         obs.count("fleet.requests.offered", offered_total)
         obs.count("fleet.requests.served", served_total)
         obs.count("fleet.switches", switches)
@@ -849,7 +643,6 @@ def simulate_fleet(
     *,
     state_catalog: Mapping[str, frozenset[str]] | None = None,
     request_ops: int = DEFAULT_REQUEST_OPS,
-    engine: str = "memo",
 ) -> FleetReport:
     """Run every policy over the trace and assemble the comparison report."""
     sim = FleetSimulator(
@@ -869,7 +662,7 @@ def simulate_fleet(
         if policy in seen:
             continue
         seen.add(policy)
-        report.results.append(sim.run_policy(policy, trace, engine=engine))
+        report.results.append(sim.run_policy(policy, trace))
     if not report.results:
         raise XpdlError("no policies requested for fleet simulation")
     return report

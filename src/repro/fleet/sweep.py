@@ -115,7 +115,6 @@ class _SweepTask:
     intervals: int
     interval_s: float
     request_ops: int
-    engine: str
 
 
 @dataclass(frozen=True)
@@ -162,9 +161,7 @@ def _run_sweep_cells(task: _SweepTask) -> _WorkerOut:
                     interval_s=task.interval_s,
                     machines=machine_names,
                 )
-            results.append(
-                (cell_index, sim.run_policy(cell.policy, tr, engine=task.engine))
-            )
+            results.append((cell_index, sim.run_policy(cell.policy, tr)))
             observer.count("fleet.sweep.cells")
     return _WorkerOut(
         worker_index=task.worker_index,
@@ -184,7 +181,6 @@ class SweepReport:
     intervals: int
     interval_s: float
     request_ops: int
-    engine: str
     policies: tuple[str, ...]
     traces: tuple[str, ...]
     seeds: tuple[int, ...]
@@ -265,7 +261,8 @@ class SweepReport:
             "intervals": self.intervals,
             "interval_s": self.interval_s,
             "request_ops": self.request_ops,
-            "engine": self.engine,
+            # A fixed value: dropping the key would change every digest.
+            "engine": "memo",
             "policies": list(self.policies),
             "traces": list(self.traces),
             "seeds": list(self.seeds),
@@ -360,7 +357,6 @@ def run_sweep(
     image_path: str | None = None,
     state_catalog: Mapping[str, frozenset[str]] | None = None,
     jobs: int | None = None,
-    engine: str = "memo",
     observer: Observer | None = None,
 ) -> tuple[SweepReport, SweepStats]:
     """Shard the grid across workers and merge one digest-stable report.
@@ -430,7 +426,6 @@ def run_sweep(
             intervals=intervals,
             interval_s=interval_s,
             request_ops=request_ops,
-            engine=engine,
         )
         for w, shard in enumerate(shards)
     ]
@@ -477,7 +472,6 @@ def run_sweep(
         intervals=intervals,
         interval_s=interval_s,
         request_ops=request_ops,
-        engine=engine,
         policies=policy_list,
         traces=trace_list,
         seeds=seed_list,

@@ -15,7 +15,7 @@ Schedules cover the canonical failure shapes:
 * :class:`SlowThenFail` — degrade latency for a while, then go dark (the
   classic brown-out that should trip a circuit breaker);
 * :class:`FailEvery` — every ``k``-th request over the whole store fails
-  (the legacy ``fail_every`` counter, kept for compatibility).
+  (``--fault every:K``).
 
 Plans are plain picklable data, so a repository carrying one survives the
 ``xpdl build`` process-pool boundary (each worker replays its own copy).
@@ -124,7 +124,7 @@ class SlowThenFail(FaultSchedule):
 
 @dataclass(frozen=True, slots=True)
 class FailEvery(FaultSchedule):
-    """Every ``k``-th request across the whole plan fails (legacy shape)."""
+    """Every ``k``-th request across the whole plan fails (store-wide)."""
 
     k: int
 

@@ -42,7 +42,7 @@ from typing import Any, Iterable, Iterator
 
 from ..diagnostics import ResolutionError, TransientFetchError
 from ..obs import get_observer
-from .faultsim import LISTING_PATH, FaultPlan, FailEvery
+from .faultsim import LISTING_PATH, FaultPlan
 
 try:  # advisory locking is POSIX-only; the mirror degrades gracefully
     import fcntl
@@ -186,12 +186,11 @@ class RemoteSimStore(DescriptorStore):
     """Simulated manufacturer web repository.
 
     Wraps a backing store and models per-request latency plus deterministic
-    scripted faults (a :class:`~repro.repository.faultsim.FaultPlan`; the
-    legacy ``fail_every=K`` shorthand builds an equivalent plan).  Injected
-    failures raise :class:`TransientFetchError` — the network failed, the
-    descriptor may well exist.  Latency is *accounted*, never slept, so
-    tests stay fast while scaling benches can report realistic download
-    cost.
+    scripted faults (a :class:`~repro.repository.faultsim.FaultPlan`).
+    Injected failures raise :class:`TransientFetchError` — the network
+    failed, the descriptor may well exist.  Latency is *accounted*, never
+    slept, so tests stay fast while scaling benches can report realistic
+    download cost.
     """
 
     def __init__(
@@ -201,7 +200,6 @@ class RemoteSimStore(DescriptorStore):
         host: str = "models.example.com",
         latency_s: float = 0.05,
         bandwidth_bps: float = 1e6,
-        fail_every: int = 0,
         faults: FaultPlan | None = None,
     ) -> None:
         self.backing = backing
@@ -209,8 +207,6 @@ class RemoteSimStore(DescriptorStore):
         self.url = f"https://{host}/"
         self.latency_s = latency_s
         self.bandwidth_bps = bandwidth_bps
-        if faults is None and fail_every:
-            faults = FaultPlan(default=FailEvery(fail_every))
         self.faults = faults
         self.log = FetchLog()
 

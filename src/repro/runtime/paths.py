@@ -6,125 +6,32 @@ Complements the browsing functions with string queries like::
     //device[@type='Nvidia_K20c']
     //cache[@name='L3']
 
-Reuses the grammar of :mod:`repro.xpdlxml.path` (same syntax in descriptors
-and at runtime).  Each query string is parsed **once** into a
-:class:`PathPlan` — a tuple of segment operations over the
-:class:`~repro.runtime.index.IRIndex` — and cached in an LRU keyed by the
-path text (``runtime.plan_hits``/``runtime.plan_misses`` count the cache
-traffic).  Plan evaluation works on integer node indexes: the ``//tag``
-axis is a bisect into the kind bucket's document-order interval instead of
-a subtree walk, and ``[@attr='value']`` predicates are set-membership
-probes into the attribute indexes.  Handles only materialize (interned)
-for the final result set.
+The grammar is the one of :mod:`repro.xpdlxml.path` (same syntax in
+descriptors and at runtime): :func:`compile_path` parses a query string
+into a :class:`PathPlan` of :class:`PathStep` segment operations,
+validating the whole path before anything is walked.  The compiled
+engine caches plans in an LRU keyed by the path text
+(``runtime.plan_hits``/``runtime.plan_misses`` count the cache traffic)
+and evaluates them over the :class:`~repro.runtime.index.IRIndex` on
+integer node indexes: the ``//tag`` axis is a bisect into the kind
+bucket's document-order interval instead of a subtree walk, and
+``[@attr='value']`` predicates are set-membership probes into the
+attribute indexes.  Handles only materialize (interned) for the final
+result set.
 
-The original handle-walking evaluator is kept as
-:func:`query_all_naive` — the reference oracle the property tests hold
-the compiled engine to, result-for-result and in order.
+:func:`query_all_naive` walks the same plan over the IR nodes without
+the index or the plan cache — the reference oracle the property tests
+hold the compiled engine to, result-for-result and in order.
 """
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left
 from collections import OrderedDict
-from dataclasses import dataclass
 
-from ..diagnostics import QueryError
 from ..obs import get_observer
+from ..xpdlxml.path import PathPlan, PathStep, compile_path
 from .query import ModelHandle, QueryContext
-
-_SEGMENT_RE = re.compile(
-    r"""^(?P<axis>//)?(?P<tag>\*|[A-Za-z_:][\w:.\-]*)
-        (?P<preds>(\[[^\]]*\])*)$""",
-    re.VERBOSE,
-)
-_PRED_RE = re.compile(
-    r"""\[(?:
-          (?P<index>\d+)
-        | @(?P<attr>[\w:.\-]+)\s*(?:=\s*'(?P<value>[^']*)')?
-        )\]""",
-    re.VERBOSE,
-)
-
-
-def _split(path: str) -> list[str]:
-    segments: list[str] = []
-    i, n = 0, len(path)
-    while i < n:
-        if path.startswith("//", i):
-            k = i + 2
-            while k < n and path[k] != "/":
-                k += 1
-            segments.append(path[i:k])
-            i = k
-        elif path[i] == "/":
-            i += 1
-        else:
-            k = i
-            while k < n and path[k] != "/":
-                k += 1
-            segments.append(path[i:k])
-            i = k
-    return segments
-
-
-def _parse_predicates(preds: str, segment: str) -> tuple[tuple, ...]:
-    """Parse the predicate chain; unparseable brackets raise QueryError."""
-    parsed: list[tuple] = []
-    pos = 0
-    for pm in _PRED_RE.finditer(preds):
-        if pm.start() != pos:
-            break
-        if pm.group("index") is not None:
-            parsed.append(("index", int(pm.group("index"))))
-        else:
-            parsed.append(("attr", pm.group("attr"), pm.group("value")))
-        pos = pm.end()
-    if pos != len(preds):
-        raise QueryError(
-            f"malformed predicate {preds[pos:]!r} in segment {segment!r}"
-        )
-    return tuple(parsed)
-
-
-# ---------------------------------------------------------------------------
-# plan compiler
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class PathStep:
-    """One compiled segment: axis + tag + parsed predicate chain."""
-
-    descend: bool
-    tag: str  # element kind, or "*"
-    preds: tuple[tuple, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class PathPlan:
-    """A parsed query, reusable across contexts (pure syntax)."""
-
-    path: str
-    steps: tuple[PathStep, ...]
-
-
-def compile_path(path: str) -> PathPlan:
-    """Parse ``path`` into a plan; raises :class:`QueryError` when malformed."""
-    steps: list[PathStep] = []
-    for segment in _split(path):
-        m = _SEGMENT_RE.match(segment)
-        if m is None:
-            raise QueryError(f"malformed query segment {segment!r}")
-        steps.append(
-            PathStep(
-                descend=m.group("axis") == "//",
-                tag=m.group("tag"),
-                preds=_parse_predicates(m.group("preds") or "", segment),
-            )
-        )
-    return PathPlan(path, tuple(steps))
-
 
 #: LRU of compiled plans, keyed by path text.  Plans carry no context, so
 #: one cache serves every QueryContext in the process.
@@ -231,27 +138,20 @@ def query_first(ctx: QueryContext, path: str) -> ModelHandle | None:
 # ---------------------------------------------------------------------------
 
 
-def _apply_naive(
-    ctx: QueryContext, nodes: list, segment: str
-) -> list:
-    m = _SEGMENT_RE.match(segment)
-    if m is None:
-        raise QueryError(f"malformed query segment {segment!r}")
-    tag = m.group("tag")
-    descend = m.group("axis") == "//"
-    preds = _parse_predicates(m.group("preds") or "", segment)
+def _apply_naive(ctx: QueryContext, nodes: list, step: PathStep) -> list:
+    tag = step.tag
     ir = ctx.ir
     matched: list = []
     seen: set[int] = set()
     for node in nodes:
-        if descend:
+        if step.descend:
             candidates = [n for n in ir.walk(node) if n is not node]
         else:
             candidates = ir.children_of(node)
         # Predicates filter per context node (XPath semantics), so an
         # index predicate picks one match under each node, not globally.
         local = [c for c in candidates if tag == "*" or c.kind == tag]
-        for pred in preds:
+        for pred in step.preds:
             if pred[0] == "index":
                 idx = pred[1]
                 local = [local[idx]] if idx < len(local) else []
@@ -274,18 +174,12 @@ def query_all_naive(ctx: QueryContext, path: str) -> list[ModelHandle]:
     Kept as the reference oracle for the compiled engine (property tests
     assert result-for-result, in-order equality) and as the comparison
     subject in the E9 benchmarks.  Like the compiled engine, the whole
-    path is validated up front: a malformed trailing segment raises even
-    when an earlier segment already matched nothing.
+    path is validated before it is walked: a malformed trailing segment
+    raises even when an earlier segment already matched nothing.
     """
-    segments = _split(path)
-    for segment in segments:  # validate the full path before evaluating
-        m = _SEGMENT_RE.match(segment)
-        if m is None:
-            raise QueryError(f"malformed query segment {segment!r}")
-        _parse_predicates(m.group("preds") or "", segment)
     nodes = [ctx.ir.root]
-    for segment in segments:
-        nodes = _apply_naive(ctx, nodes, segment)
+    for step in compile_path(path).steps:
+        nodes = _apply_naive(ctx, nodes, step)
         if not nodes:
             return []
     return [ModelHandle(ctx, n) for n in nodes]

@@ -274,8 +274,8 @@ def xpdl_init(filename: str) -> QueryContext:
     The Python spelling of the paper's ``int xpdl_init(char *filename)``;
     raises :class:`QueryError` on unreadable or malformed files instead of
     returning an error code.  A v2 image file is mmapped and its persisted
-    index adopted in place (``index.load_mmap``); v1 files and images with
-    damaged index sections fall back to a live index build
+    index adopted in place (``index.load_mmap``); core-only images and
+    images with damaged index sections fall back to a live index build
     (``index.rebuilds``).  Either way the cold-open latency lands in the
     ``index.open_s`` histogram.
     """

@@ -556,11 +556,9 @@ class ModelHost:
                     {"error": "invalid batched request", "status": 400}
                 )
                 continue
-            status, body = self.handle(sub)
-            if status != 200:
-                results.append(body)
-            else:
-                results.append(body)
+            # Error bodies carry their own "status" field.
+            _status, body = self.handle(sub)
+            results.append(body)
         self.observer.count("service.batched", len(requests))
         return {"count": len(results), "results": results}
 

@@ -76,8 +76,8 @@ PICKLE_ERRORS = (
 
 #: Bump whenever the index layout or the pickled artifact schema changes;
 #: caches written by other versions are ignored (and rebuilt), never
-#: misread.
-CACHE_SCHEMA_VERSION = 1
+#: misread.  Version 2: pickled ``Quantity`` values carry ``written``.
+CACHE_SCHEMA_VERSION = 2
 
 #: Fixed pickle protocol so every writer produces compatible blobs.
 PICKLE_PROTOCOL = 4

@@ -4,12 +4,19 @@ A :class:`Quantity` stores its magnitude normalized to base units (bytes,
 seconds, joules, ...) together with its :class:`Dimension`.  Arithmetic
 checks dimensions; conversion and formatting go through a
 :class:`~repro.units.registry.UnitRegistry`.
+
+Normalizing rounds: ``0`` and ``5e-324`` mW both become ``0.0`` W, and two
+adjacent floats can meet on one magnitude under any non-power-of-two unit
+factor.  So :meth:`Quantity.of` also keeps the value as written with its
+unit factor, and two quantities written in the same unit compare (order
+and equality) by their written values; any other pair compares by
+normalized magnitude.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 from ..diagnostics import UnitError
@@ -25,6 +32,11 @@ class Quantity:
 
     magnitude: float
     dimension: Dimension
+    #: ``(value, unit factor)`` as given to :meth:`of`; ``None`` for
+    #: quantities built from a magnitude (arithmetic results, image reads).
+    written: tuple[float, float] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -35,7 +47,8 @@ class Quantity:
     ) -> "Quantity":
         """Build a quantity from a value and a spelled unit."""
         u = registry.get(unit)
-        return Quantity(float(value) * u.factor, u.dimension)
+        v = float(value)
+        return Quantity(v * u.factor, u.dimension, (v, u.factor))
 
     @staticmethod
     def parse(
@@ -142,21 +155,45 @@ class Quantity:
         return Quantity(self.magnitude**k, self.dimension**k)
 
     # -- comparison ----------------------------------------------------------
+    def _compared(self, other: "Quantity") -> tuple[float, float]:
+        """The two numbers that order or equate ``self`` and ``other``.
+
+        Written values when both were written in units of one factor (their
+        order is exact there; the rounded magnitudes may tie), else the
+        normalized magnitudes.
+        """
+        a, b = self.written, other.written
+        if a is not None and b is not None and a[1] == b[1]:
+            return a[0], b[0]
+        return self.magnitude, other.magnitude
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Quantity):
+            return NotImplemented
+        if other.dimension != self.dimension:
+            return False
+        a, b = self._compared(other)
+        return a == b
+
     def __lt__(self, other: "Quantity") -> bool:
         self._require_same(other, "compare")
-        return self.magnitude < other.magnitude
+        a, b = self._compared(other)
+        return a < b
 
     def __le__(self, other: "Quantity") -> bool:
         self._require_same(other, "compare")
-        return self.magnitude <= other.magnitude
+        a, b = self._compared(other)
+        return a <= b
 
     def __gt__(self, other: "Quantity") -> bool:
         self._require_same(other, "compare")
-        return self.magnitude > other.magnitude
+        a, b = self._compared(other)
+        return a > b
 
     def __ge__(self, other: "Quantity") -> bool:
         self._require_same(other, "compare")
-        return self.magnitude >= other.magnitude
+        a, b = self._compared(other)
+        return a >= b
 
     def close_to(self, other: "Quantity", *, rel: float = 1e-9, abs_: float = 0.0) -> bool:
         self._require_same(other, "compare")

@@ -12,16 +12,25 @@ Supports the subset needed by the toolchain and tests:
 Queries return lists of elements; they never raise on "no match".
 Malformed paths — including bracketed predicates the grammar cannot
 parse — raise :class:`~repro.diagnostics.QueryError` instead of being
-silently ignored.
+silently ignored.  The whole path is checked before any of it is
+walked, so a malformed segment raises even behind one that matches
+nothing.
 
 Predicates follow XPath semantics: they filter the matches of **each
 context node separately**, so ``a/b[0]`` returns the first ``<b>`` of
 every ``<a>``, not the globally first ``<b>``.
+
+This module owns the grammar: :func:`compile_path` parses a path into a
+:class:`PathPlan`, one :class:`PathStep` per segment, and every
+evaluator walks such a plan — :func:`find_all` here, and the compiled
+and naive runtime engines in :mod:`repro.runtime.paths` (same syntax in
+descriptors and at runtime).
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 
 from ..diagnostics import QueryError
 from .dom import XmlElement
@@ -43,27 +52,19 @@ _PRED_RE = re.compile(
 def _split_segments(path: str) -> list[str]:
     """Split on '/' but keep '//' attached to the following segment."""
     segments: list[str] = []
-    i = 0
-    n = len(path)
+    i, n = 0, len(path)
     while i < n:
         if path.startswith("//", i):
-            seg_end = n
             k = i + 2
-            while k < n:
-                if path[k] == "/":
-                    seg_end = k
-                    break
-                k += 1
-            segments.append(path[i:seg_end])
-            i = seg_end
         elif path[i] == "/":
             i += 1
+            continue
         else:
             k = i
-            while k < n and path[k] != "/":
-                k += 1
-            segments.append(path[i:k])
-            i = k
+        while k < n and path[k] != "/":
+            k += 1
+        segments.append(path[i:k])
+        i = k
     return segments
 
 
@@ -71,7 +72,7 @@ def _split_segments(path: str) -> list[str]:
 Predicate = tuple
 
 
-def _parse_predicates(preds: str, segment: str) -> list[Predicate]:
+def _parse_predicates(preds: str, segment: str) -> tuple[Predicate, ...]:
     """Parse the bracketed predicate chain of one segment.
 
     Every ``[...]`` group must match the predicate grammar; anything the
@@ -92,10 +93,46 @@ def _parse_predicates(preds: str, segment: str) -> list[Predicate]:
         raise QueryError(
             f"malformed predicate {preds[pos:]!r} in segment {segment!r}"
         )
-    return parsed
+    return tuple(parsed)
 
 
-def _filter(matched: list[XmlElement], preds: list[Predicate]) -> list[XmlElement]:
+@dataclass(frozen=True, slots=True)
+class PathStep:
+    """One compiled segment: axis + tag + parsed predicate chain."""
+
+    descend: bool
+    tag: str  # element kind, or "*"
+    preds: tuple[Predicate, ...]
+
+
+@dataclass(frozen=True, slots=True)
+class PathPlan:
+    """A parsed query, reusable across documents and models (pure syntax)."""
+
+    path: str
+    steps: tuple[PathStep, ...]
+
+
+def compile_path(path: str) -> PathPlan:
+    """Parse ``path`` into a plan; raises :class:`QueryError` when malformed."""
+    steps: list[PathStep] = []
+    for segment in _split_segments(path):
+        m = _SEGMENT_RE.match(segment)
+        if m is None:
+            raise QueryError(f"malformed query segment {segment!r}")
+        steps.append(
+            PathStep(
+                descend=m.group("axis") == "//",
+                tag=m.group("tag"),
+                preds=_parse_predicates(m.group("preds") or "", segment),
+            )
+        )
+    return PathPlan(path, tuple(steps))
+
+
+def _filter(
+    matched: list[XmlElement], preds: tuple[Predicate, ...]
+) -> list[XmlElement]:
     """Apply the predicate chain to one context node's matches."""
     for pred in preds:
         if pred[0] == "index":
@@ -110,17 +147,12 @@ def _filter(matched: list[XmlElement], preds: list[Predicate]) -> list[XmlElemen
     return matched
 
 
-def _apply_segment(nodes: list[XmlElement], segment: str) -> list[XmlElement]:
-    m = _SEGMENT_RE.match(segment)
-    if m is None:
-        raise QueryError(f"malformed path segment {segment!r}")
-    tag = m.group("tag")
-    descend = m.group("axis") == "//"
-    preds = _parse_predicates(m.group("preds") or "", segment)
+def _apply_step(nodes: list[XmlElement], step: PathStep) -> list[XmlElement]:
+    tag = step.tag
     matched: list[XmlElement] = []
     seen: set[int] = set()
     for node in nodes:
-        if descend:
+        if step.descend:
             candidates = [
                 e
                 for child in node.elements()
@@ -131,7 +163,7 @@ def _apply_segment(nodes: list[XmlElement], segment: str) -> list[XmlElement]:
         # XPath semantics: predicates filter per context node, so an index
         # predicate selects one match under *each* node, not globally.
         local = [c for c in candidates if tag == "*" or c.tag == tag]
-        for c in _filter(local, preds):
+        for c in _filter(local, step.preds):
             if id(c) not in seen:
                 seen.add(id(c))
                 matched.append(c)
@@ -141,8 +173,8 @@ def _apply_segment(nodes: list[XmlElement], segment: str) -> list[XmlElement]:
 def find_all(root: XmlElement, path: str) -> list[XmlElement]:
     """Evaluate ``path`` relative to ``root`` (root itself is the context)."""
     nodes = [root]
-    for segment in _split_segments(path):
-        nodes = _apply_segment(nodes, segment)
+    for step in compile_path(path).steps:
+        nodes = _apply_step(nodes, step)
         if not nodes:
             return []
     return nodes

@@ -14,7 +14,13 @@ from repro.codegen import (
 )
 from repro.diagnostics import DiagnosticSink, ResolutionError, XpdlError
 from repro.model import from_document
-from repro.repository import MemoryStore, RemoteSimStore, RetryingStore
+from repro.repository import (
+    FailEvery,
+    FaultPlan,
+    MemoryStore,
+    RemoteSimStore,
+    RetryingStore,
+)
 from repro.schema import CORE_SCHEMA, Schema, SchemaValidator, schema_from_xml, schema_to_xml
 from repro.xpdlxml import parse_xml
 
@@ -158,7 +164,7 @@ class TestJsonView:
 class TestRetryingStore:
     def test_retries_transient_failures(self):
         backing = MemoryStore({"a.xpdl": "<cpu name='A'/>"})
-        flaky = RemoteSimStore(backing, fail_every=2)
+        flaky = RemoteSimStore(backing, faults=FaultPlan(default=FailEvery(2)))
         store = RetryingStore(flaky, attempts=3)
         # Fetch 1 ok, fetch 2 fails -> retried internally.
         assert "A" in store.fetch("a.xpdl")
@@ -209,7 +215,9 @@ class TestRetryingStore:
                     full = os.path.join(dirpath, fn)
                     rel = os.path.relpath(full, data_dir()).replace(os.sep, "/")
                     files[rel] = open(full).read()
-        flaky = RemoteSimStore(MemoryStore(files), fail_every=3)
+        flaky = RemoteSimStore(
+            MemoryStore(files), faults=FaultPlan(default=FailEvery(3))
+        )
         repo2 = ModelRepository([RetryingStore(flaky, attempts=4)])
         composed = Composer(repo2).compose("liu_gpu_server")
         assert not composed.sink.has_errors()

@@ -300,12 +300,10 @@ class TestIndexIntegration:
                 continue
             assert set(m.psm.state_names()) <= catalog[name]
 
-    def test_simulation_over_paper_system(self, liu_ctx, liu_server):
-        # Private testbed: the simulator re-seats PSM cursors, so it must
-        # not run over the shared session fixture.
-        from repro.simhw import testbed_from_model
-
-        bed = testbed_from_model(liu_server.root)
+    def test_simulation_over_paper_system(self, liu_ctx, liu_testbed):
+        # The shared fixture is safe: run_policy reads the machines and
+        # never moves their PSM cursors.
+        bed = liu_testbed
         catalog = index_state_catalog(liu_ctx, bed)
         trace = make_trace(
             "diurnal",

@@ -2,9 +2,9 @@
 
 The two contracts under test:
 
-* **engine equivalence** — the memoized inner loop (`engine="memo"`)
-  returns *bit-identical* :class:`PolicyResult` values to the cursor-walk
-  reference (`engine="cursor"`), on synthetic testbeds and on the paper
+* **oracle equivalence** — :meth:`FleetSimulator.run_policy` returns
+  *bit-identical* :class:`PolicyResult` values to the cursor walk in
+  :mod:`tests.fleet_oracle`, on synthetic testbeds and on the paper
   corpus;
 * **jobs invariance** — :meth:`SweepReport.to_json`/:meth:`digest` are
   byte-identical whatever ``jobs`` the grid was sharded across.
@@ -32,6 +32,7 @@ from repro.fleet import (
 )
 from repro.obs import Observer, use_observer
 from repro.units import TIME, Quantity
+from tests.fleet_oracle import CursorFleetSimulator, simulate_fleet_cursor
 from tests.test_fleet import POLICIES, _toy_psm, _toy_testbed, _toy_trace
 
 
@@ -48,10 +49,10 @@ class TestEngineEquivalence:
             )
             for policy in POLICIES:
                 memo = FleetSimulator(bed, request_ops=1000).run_policy(
-                    policy, trace, engine="memo"
+                    policy, trace
                 )
-                cursor = FleetSimulator(bed, request_ops=1000).run_policy(
-                    policy, trace, engine="cursor"
+                cursor = CursorFleetSimulator(bed, request_ops=1000).run_policy(
+                    policy, trace
                 )
                 # Dataclass equality is exact float equality: the memoized
                 # tables must replay the reference arithmetic bit-for-bit.
@@ -72,10 +73,10 @@ class TestEngineEquivalence:
         for policy in POLICIES:
             a = FleetSimulator(
                 bed, state_catalog=catalog, request_ops=1000
-            ).run_policy(policy, trace, engine="memo")
-            b = FleetSimulator(
+            ).run_policy(policy, trace)
+            b = CursorFleetSimulator(
                 bed, state_catalog=catalog, request_ops=1000
-            ).run_policy(policy, trace, engine="cursor")
+            ).run_policy(policy, trace)
             assert a == b, policy
 
     def test_memo_matches_cursor_on_paper_corpus(self, liu_ctx, liu_server):
@@ -96,15 +97,13 @@ class TestEngineEquivalence:
             POLICIES,
             state_catalog=catalog,
             request_ops=10_000,
-            engine="memo",
         )
-        cursor = simulate_fleet(
+        cursor = simulate_fleet_cursor(
             bed,
             trace,
             POLICIES,
             state_catalog=catalog,
             request_ops=10_000,
-            engine="cursor",
         )
         assert memo.results == cursor.results
         assert memo.to_json() == cursor.to_json()
@@ -113,18 +112,20 @@ class TestEngineEquivalence:
     def test_memo_counts_state_checks_like_cursor(self):
         catalog = {"m0": frozenset({"sleep", "slow", "fast"})}
         totals = {}
-        for engine in ("memo", "cursor"):
+        for name, simulate in (
+            ("memo", simulate_fleet),
+            ("cursor", simulate_fleet_cursor),
+        ):
             obs = Observer()
             with use_observer(obs):
-                simulate_fleet(
+                simulate(
                     _toy_testbed(),
                     _toy_trace(intervals=10),
                     ("performance",),
                     state_catalog=catalog,
                     request_ops=1000,
-                    engine=engine,
                 )
-            totals[engine] = obs.counter("fleet.query.state_checks")
+            totals[name] = obs.counter("fleet.query.state_checks")
         assert totals["memo"] == totals["cursor"] > 0
 
     def test_memo_catalog_mismatch_raises(self):
@@ -136,13 +137,7 @@ class TestEngineEquivalence:
                 ("performance",),
                 state_catalog=catalog,
                 request_ops=1000,
-                engine="memo",
             )
-
-    def test_unknown_engine_rejected(self):
-        sim = FleetSimulator(_toy_testbed(), request_ops=1000)
-        with pytest.raises(XpdlError):
-            sim.run_policy("performance", _toy_trace(intervals=5), engine="warp")
 
     def test_race_to_idle_memo_clears_on_reset(self):
         g = make_governor("race-to-idle", _toy_psm())

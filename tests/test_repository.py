@@ -5,6 +5,8 @@ import pytest
 from repro.diagnostics import DiagnosticSink, ResolutionError, TransientFetchError
 from repro.repository import (
     CachingStore,
+    FailEvery,
+    FaultPlan,
     LocalDirStore,
     MemoryStore,
     ModelRepository,
@@ -42,7 +44,7 @@ class TestStores:
 
     def test_remote_sim_failure_injection(self):
         backing = MemoryStore({"a.xpdl": "<cpu name='A'/>"})
-        remote = RemoteSimStore(backing, fail_every=2)
+        remote = RemoteSimStore(backing, faults=FaultPlan(default=FailEvery(2)))
         remote.fetch("a.xpdl")
         # Injected failures are *transient* (retryable), never a permanent
         # not-found: the descriptor exists, the network hiccupped.

@@ -7,6 +7,7 @@ from repro.ir import IRModel
 from repro.model import from_document
 from repro.runtime import (
     query_all,
+    query_all_naive,
     query_first,
     xpdl_init,
     xpdl_init_from_model,
@@ -169,8 +170,15 @@ class TestPathQueries:
 
     def test_malformed_raises(self):
         ctx = ctx_of(SAMPLE)
-        with pytest.raises(QueryError):
-            query_all(ctx, "node[")
+        # The whole path is checked first, also behind a segment that
+        # matches nothing ("gpu").
+        for path in ("node[", "gpu/node[", "gpu/node[@]"):
+            for query in (query_all, query_all_naive):
+                with pytest.raises(QueryError):
+                    query(ctx, path)
+        # `xpdl query` and the service's /query error bodies carry this text.
+        with pytest.raises(QueryError, match=r"malformed query segment 'node\['"):
+            query_all(ctx, "gpu/node[")
 
     def test_liu_queries(self, liu_ctx):
         k20 = query_first(liu_ctx, "//device[@type='Nvidia_K20c']")

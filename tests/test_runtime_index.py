@@ -286,8 +286,11 @@ class TestPlanCache:
         ctx = xpdl_init_from_model(ir_from_spec(SAMPLE_SPEC))
         clear_plan_cache()
         with use_observer(Observer()) as obs:
-            with pytest.raises(QueryError):
-                query_all(ctx, "node[")
+            for path in ("node[", "gpu/node[", "gpu/node[@]"):
+                with pytest.raises(QueryError):
+                    query_all(ctx, path)
+                with pytest.raises(QueryError):
+                    query_all_naive(ctx, path)
             assert obs.counter("runtime.plan_misses") == 0
         assert plan_cache_stats()["entries"] == 0
 

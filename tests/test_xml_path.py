@@ -111,6 +111,9 @@ class TestMalformedPredicates:
             "node[@id=n0]",
             "node[@id='it''s']",
             "node[1][@]",
+            # malformed behind a segment that matches nothing
+            "gpu/node[",
+            "gpu/node[@]",
         ],
     )
     def test_raises_query_error(self, root, path):

@@ -7,9 +7,10 @@ Covers the PR-7 acceptance criteria:
   identically to a freshly built :class:`IRIndex` *and* to the naive
   uncompiled evaluator (property-based over random trees, plus the
   largest corpus model).
-* **Version skew** — v1 files still load (with ``index.rebuilds``
-  accounting); garbage and truncated v2 images are rejected loudly,
-  never misread.
+* **Version skew** — files of the retired ``XPDLRT01`` format, garbage
+  and truncated v2 images are rejected loudly, never misread; an
+  index-less (core-only) image loads with ``index.rebuilds``
+  accounting.
 * **Degradation** — a damaged *index* section falls back to a live
   rebuild with a warning and correct answers; damaged *core* sections
   raise :class:`QueryError`.
@@ -181,16 +182,19 @@ class TestCorpusImage:
 
 
 class TestVersionSkew:
-    def test_v1_still_loads_and_counts_rebuild(self):
+    def test_v1_bytes_raise_query_error(self, tmp_path):
+        path = tmp_path / "legacy.xir"
+        path.write_bytes(b"XPDLRT01" + b"\x00" * 64)
+        with pytest.raises(QueryError, match="XPDLRT01.*rebuild"):
+            IRModel.load(str(path))
+
+    def test_v1_tagged_json_still_loads(self):
+        # The JSON node schema never changed: only the binary v1 went.
         ir = IRModel.from_model(model(SAMPLE), {"k": "v"})
-        legacy = IRModel.from_bytes(ir.to_bytes_v1())
-        assert legacy.meta == {"k": "v"}
-        assert legacy._load_origin is not None
-        obs = Observer()
-        with use_observer(obs):
-            IRIndex(legacy)
-        assert obs.counters.get("index.rebuilds") == 1
-        assert_index_equal(IRIndex(legacy), fresh_index(ir))
+        text = ir.to_json().replace('"XPDLRT02"', '"XPDLRT01"')
+        loaded = IRModel.from_json(text)
+        assert loaded.meta == {"k": "v"}
+        assert [n.attrs for n in loaded.nodes] == [n.attrs for n in ir.nodes]
 
     def test_garbage_rejected(self):
         with pytest.raises(QueryError):
@@ -246,11 +250,17 @@ class TestCorruption:
             IRModel.from_bytes(bad)
 
     def test_core_only_image_loads_degraded(self):
-        ir = IRModel.from_model(model(SAMPLE))
+        ir = IRModel.from_model(model(SAMPLE), {"k": "v"})
         data = build_image(ir, with_index=False)
         with pytest.warns(XirImageWarning):
             loaded = IRModel.from_bytes(data)
-        assert_index_equal(IRIndex(loaded), fresh_index(ir))
+        assert loaded.meta == {"k": "v"}
+        assert loaded._load_origin is not None
+        obs = Observer()
+        with use_observer(obs):
+            idx = IRIndex(loaded)
+        assert obs.counters.get("index.rebuilds") == 1
+        assert_index_equal(idx, fresh_index(ir))
 
 
 # ---------------------------------------------------------------------------
