@@ -742,7 +742,7 @@ def verify_image(data) -> list[str]:
     """Every defect of a serialized image, as human-readable problems.
 
     Empty list == fully usable, index included.  Used by
-    ``xpdl cache verify`` and the CI cold-start smoke job."""
+    ``xpdl cache verify``."""
     try:
         image = IRImage(data)
     except QueryError as exc:

@@ -17,7 +17,17 @@ turns the naive tree walks into table lookups:
 * **memoized model analyses** — one lazy post-order pass per derived
   attribute (per-kind physical counts, CUDA-device counts, aggregate
   static power) makes every ``count_*``/``total_static_power`` call an
-  O(1) array read, for any subtree root.
+  O(1) array read, for any subtree root.  Each pass is sparse: it is
+  seeded only with the nodes that contribute (the kind's bucket, the
+  ``device``/``gpu`` buckets, the ``static_power`` attribute run) and
+  visits just them and their physical ancestors.
+
+On an index adopted from a mapped ``XPDLRT02`` image every one of these
+structures reads the mapped sections: the analyses walk the ``RECS``
+kind ids and parents and match non-physical kinds by string-pool id, so
+the only :class:`~repro.ir.IRNode` objects they materialize are the
+``static_power`` carriers and the ``programming_model`` children of
+``device``/``gpu`` nodes, whose attributes they read.
 
 The index is pure structure — it holds no handles and no context, so one
 index can back any number of :class:`~repro.runtime.query.QueryContext`
@@ -27,6 +37,7 @@ objects over the same IR (contexts intern their own handles).
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import chain
 from typing import TYPE_CHECKING, Any
 
 from ..analysis import NON_PHYSICAL_KINDS
@@ -43,6 +54,8 @@ _ZERO_POWER = Quantity(0.0, POWER)
 #: v2 images store "unreachable from root" as the u32 all-ones sentinel
 #: (a mapped u32 view cannot hold the eager build's -1).
 _UNREACHABLE = 0xFFFFFFFF
+#: The root's parent in the image's RECS section (and in the eager plan).
+_NO_PARENT = 0xFFFFFFFF
 
 
 class _ImageKinds:
@@ -107,6 +120,7 @@ class IRIndex:
         "_buckets",
         "_attr_has",
         "_attr_eq",
+        "_plan",
         "_kind_counts",
         "_cuda_counts",
         "_static_power_w",
@@ -184,6 +198,7 @@ class IRIndex:
         self._attr_eq = attr_eq
 
         # -- derived-analysis memos (built lazily, per analysis) -----------
+        self._plan: tuple[Any, Any, Any] | None = None
         self._kind_counts: dict[str, list[int]] = {}
         self._cuda_counts: list[int] | None = None
         self._static_power_w: list[float] | None = None
@@ -212,6 +227,7 @@ class IRIndex:
         # Lazy per-key materialization caches (image lookups fill them).
         self._attr_has = {}
         self._attr_eq = {}
+        self._plan = None
         self._kind_counts = {}
         self._cuda_counts = None
         self._static_power_w = None
@@ -272,32 +288,81 @@ class IRIndex:
         return members
 
     # -- memoized model analyses -------------------------------------------
-    def _physical_postorder(self, per_node, out: list) -> None:
-        """Fill ``out[i]`` with ``per_node(i) + sum(out[children])`` over the
-        physical containment tree (non-physical kinds contribute nothing and
-        prune their subtree, matching ``physical_walk``).  Reverse document
-        order visits every child before its parent without recursion."""
-        kinds = self.kinds
-        children = self.children
-        for pos in range(len(self.doc) - 1, -1, -1):
-            i = self.doc[pos]
-            if kinds[i] in NON_PHYSICAL_KINDS:
-                continue  # out[i] stays the zero it was initialized to
-            acc = per_node(i)
-            for c in children[i]:
+    def _physical_plan(self) -> tuple[Any, Any, Any]:
+        """``(kind ids, parents, non-physical kind ids)``, built once and
+        shared by every analysis.  Image-backed indexes read the mapped
+        RECS kind ids and parents and match non-physical kinds by pool
+        id; eager ones use the kind strings and the nodes' parents.
+        Only kinds with a bucket matter: the analyses climb from
+        reachable nodes, whose ancestors are all reachable."""
+        plan = self._plan
+        if plan is None:
+            image = self._image
+            if image is not None:
+                # A kind's pool id is the kind id of any node in its bucket.
+                kind_ids = image.kind_ids
+                nonphysical = {
+                    kind_ids[indexes[0]]
+                    for kind, (_positions, indexes) in image.buckets.items()
+                    if kind in NON_PHYSICAL_KINDS and len(indexes)
+                }
+                plan = (kind_ids, image.parents, nonphysical)
+            else:
+                parents = [
+                    _NO_PARENT if node.parent is None else node.parent
+                    for node in self.ir.nodes
+                ]
+                plan = (self.kinds, parents, NON_PHYSICAL_KINDS)
+            self._plan = plan
+        return plan
+
+    def _physical_sums(self, own: dict[int, Any], zero: Any) -> list:
+        """Per-node sums over the physical containment tree.
+
+        ``out[i]`` is ``i``'s own value (``zero`` unless in ``own``) plus
+        ``out[c]`` of each child ``c`` in child order; non-physical kinds
+        stay ``zero`` and prune their subtree.  Only the contributors in
+        ``own`` (physical nodes, in document order) and their physical
+        ancestors are visited: every other node sums to ``zero``, and
+        adding a zero term never changes a sum (none here is ``-0.0``), so
+        each value — floats included — is bit-identical to the dense pass
+        over all nodes.
+        """
+        kind_ids, parents, nonphysical = self._physical_plan()
+        out = [zero] * len(self.kinds)
+        # Climbing from contributors in document order appends each
+        # visited node to its parent's list in child order.
+        kids: dict[int, list[int]] = {}
+        for i, value in own.items():
+            out[i] = value
+            c, p = i, parents[i]
+            while p != _NO_PARENT:
+                siblings = kids.get(p)
+                if siblings is not None:
+                    siblings.append(c)
+                    break
+                if kind_ids[p] in nonphysical:
+                    break
+                kids[p] = [c]
+                if p in own:
+                    break  # an earlier contributor, linked to its parent
+                c, p = p, parents[p]
+        # Reverse document order visits every child before its parent.
+        for p in sorted(kids, key=self.pre.__getitem__, reverse=True):
+            acc = own.get(p, zero)
+            for c in kids[p]:
                 acc += out[c]
-            out[i] = acc
+            out[p] = acc
+        return out
 
     def kind_counts(self, kind: str) -> list[int]:
         """Per-node physical-subtree counts of ``kind`` (lazy, memoized)."""
         counts = self._kind_counts.get(kind)
         if counts is None:
-            counts = [0] * len(self.kinds)
-            if kind in self._buckets:  # absent kinds stay all-zero for free
-                kinds = self.kinds
-                self._physical_postorder(
-                    lambda i: 1 if kinds[i] == kind else 0, counts
-                )
+            own: dict[int, int] = {}
+            if kind not in NON_PHYSICAL_KINDS:
+                own = dict.fromkeys(self.bucket(kind)[1], 1)
+            counts = self._physical_sums(own, 0)
             self._kind_counts[kind] = counts
             get_observer().count("runtime.analysis_memo_builds")
         return counts
@@ -308,19 +373,19 @@ class IRIndex:
         if counts is None:
             nodes = self.ir.nodes
             kinds = self.kinds
-
-            def is_cuda_device(i: int) -> int:
-                if kinds[i] not in ("device", "gpu"):
-                    return 0
+            devices = sorted(
+                chain(self.bucket("device")[1], self.bucket("gpu")[1]),
+                key=self.pre.__getitem__,
+            )
+            own: dict[int, int] = {}
+            for i in devices:
                 for c in self.children[i]:
                     if kinds[c] == "programming_model" and "cuda" in (
                         nodes[c].attrs.get("type", "").lower()
                     ):
-                        return 1
-                return 0
-
-            counts = [0] * len(kinds)
-            self._physical_postorder(is_cuda_device, counts)
+                        own[i] = 1
+                        break
+            counts = self._physical_sums(own, 0)
             self._cuda_counts = counts
             get_observer().count("runtime.analysis_memo_builds")
         return counts
@@ -334,17 +399,25 @@ class IRIndex:
         sums = self._static_power_w
         if sums is None:
             nodes = self.ir.nodes
-
-            def power_of(i: int) -> float:
+            kind_ids, _parents, nonphysical = self._physical_plan()
+            carriers = sorted(
+                self.attr_has("static_power"),
+                key=self.pre.__getitem__,
+                reverse=True,
+            )
+            own: dict[int, float] = {}
+            # Reverse document order, like the dense pass: of several
+            # malformed values, the same one raises.
+            for i in carriers:
+                if kind_ids[i] in nonphysical:
+                    continue
                 q = read_metric(nodes[i].attrs, "static_power", expect=POWER)
-                if q is None:
-                    return 0.0
-                # Reproduce the sequential accumulation's dimension check
-                # (a unitless static_power must still be rejected loudly).
-                return (_ZERO_POWER + q).magnitude
-
-            sums = [0.0] * len(self.kinds)
-            self._physical_postorder(power_of, sums)
+                if q is not None:
+                    # Reproduce the sequential accumulation's dimension
+                    # check (a unitless static_power must still raise).
+                    own[i] = (_ZERO_POWER + q).magnitude
+            # Back to document order for the climb.
+            sums = self._physical_sums(dict(reversed(own.items())), 0.0)
             self._static_power_w = sums
             get_observer().count("runtime.analysis_memo_builds")
         return sums

@@ -16,8 +16,9 @@ and evaluates them over the :class:`~repro.runtime.index.IRIndex` on
 integer node indexes: the ``//tag`` axis is a bisect into the kind
 bucket's document-order interval instead of a subtree walk, and
 ``[@attr='value']`` predicates are set-membership probes into the
-attribute indexes.  Handles only materialize (interned) for the final
-result set.
+attribute indexes.  Handles are built (interned) only for the final
+result set, and a handle is just a context and a node index: no IR node
+is decoded for a result until its attributes are read.
 
 :func:`query_all_naive` walks the same plan over the IR nodes without
 the index or the plan cache — the reference oracle the property tests
@@ -182,4 +183,4 @@ def query_all_naive(ctx: QueryContext, path: str) -> list[ModelHandle]:
         nodes = _apply_naive(ctx, nodes, step)
         if not nodes:
             return []
-    return [ModelHandle(ctx, n) for n in nodes]
+    return [ModelHandle(ctx, n.index) for n in nodes]

@@ -12,13 +12,21 @@ function categories over the light-weight runtime IR file:
 4. **Model analysis functions** — derived attributes such as core counts,
    CUDA device counts and subtree static power.
 
-Handles are thin wrappers over IR nodes, and everything is read-only,
-matching the introspection use of conditional composition [3].  Because
-the queries run *inside* applications' optimization loops, the context is
-backed by a compiled :class:`~repro.runtime.index.IRIndex` (built once at
-:func:`xpdl_init`): browsing serves interned handles out of kind buckets
-and document-order intervals instead of re-walking the tree, and the
-analysis functions are O(1) reads of memoized post-order aggregates.
+Everything is read-only, matching the introspection use of conditional
+composition [3].  Because the queries run *inside* applications'
+optimization loops, the context is backed by a compiled
+:class:`~repro.runtime.index.IRIndex` (adopted from the mapped image at
+:func:`xpdl_init`, or built once): browsing serves interned handles out
+of kind buckets and document-order intervals instead of re-walking the
+tree, and the analysis functions are O(1) reads of memoized post-order
+aggregates.
+
+A handle is ``(context, node index)``: its kind comes from the index,
+and browsing (children, descendants, path results) moves between node
+indexes.  Its :class:`~repro.ir.IRNode` materializes from the image's
+record sections only when its attributes, label or parent are read, so a
+``//core`` query over an image-backed model allocates one small handle
+per result and decodes no record.
 """
 
 from __future__ import annotations
@@ -65,23 +73,29 @@ class ModelHandle:
     ``h.get_frequency()`` etc. mirror the C++ API's generated getters;
     ``h.get_quantity("static_power")`` gives the unit-aware view.
     Handles are interned per context — browsing the same element twice
-    returns the same object.
+    returns the same object.  A handle holds only its context and node
+    index; the IR node is read (and, on an image, materialized) when an
+    attribute, the label or the parent is asked for.
     """
 
-    __slots__ = ("_ctx", "_node")
+    __slots__ = ("_ctx", "_index")
 
-    def __init__(self, ctx: "QueryContext", node: IRNode) -> None:
+    def __init__(self, ctx: "QueryContext", index: int) -> None:
         self._ctx = ctx
-        self._node = node
+        self._index = index
+
+    @property
+    def _node(self) -> IRNode:
+        return self._ctx.ir.nodes[self._index]
 
     # -- identity ------------------------------------------------------------
     @property
     def kind(self) -> str:
-        return self._node.kind
+        return self._ctx.index.kinds[self._index]
 
     @property
     def index(self) -> int:
-        return self._node.index
+        return self._index
 
     def label(self) -> str:
         return self._node.label()
@@ -90,11 +104,11 @@ class ModelHandle:
         return (
             isinstance(other, ModelHandle)
             and other._ctx is self._ctx
-            and other._node.index == self._node.index
+            and other._index == self._index
         )
 
     def __hash__(self) -> int:
-        return hash((id(self._ctx), self._node.index))
+        return hash((id(self._ctx), self._index))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ModelHandle<{self.kind} {self.label()}>"
@@ -109,29 +123,30 @@ class ModelHandle:
         kinds = ctx.index.kinds
         return [
             ctx.handle(c)
-            for c in self._node.children
+            for c in ctx.index.children[self._index]
             if kind is None or kinds[c] == kind
         ]
 
     def first(self, kind: str) -> "ModelHandle | None":
-        kinds = self._ctx.index.kinds
-        for c in self._node.children:
+        ctx = self._ctx
+        kinds = ctx.index.kinds
+        for c in ctx.index.children[self._index]:
             if kinds[c] == kind:
-                return self._ctx.handle(c)
+                return ctx.handle(c)
         return None
 
     def descendants(self, kind: str | None = None) -> list["ModelHandle"]:
         ctx = self._ctx
         if kind is None:
-            indexes = ctx.index.descendant_slice(self._node.index)
+            indexes = ctx.index.descendant_slice(self._index)
         else:
-            indexes = ctx.index.descendants_of_kind(self._node.index, kind)
+            indexes = ctx.index.descendants_of_kind(self._index, kind)
         return [ctx.handle(i) for i in indexes]
 
     def walk(self) -> Iterator["ModelHandle"]:
         ctx = self._ctx
-        yield ctx.handle(self._node.index)
-        for i in ctx.index.descendant_slice(self._node.index):
+        yield ctx.handle(self._index)
+        for i in ctx.index.descendant_slice(self._index):
             yield ctx.handle(i)
 
     # -- category 3: attribute getters ----------------------------------------------
@@ -182,7 +197,7 @@ class QueryContext:
         """The interned handle for node ``index``."""
         h = self._handles[index]
         if h is None:
-            h = self._handles[index] = ModelHandle(self, self.ir.nodes[index])
+            h = self._handles[index] = ModelHandle(self, index)
         return h
 
     # -- entry points --------------------------------------------------------
@@ -216,9 +231,19 @@ class QueryContext:
                 if nodes[c].kind not in NON_PHYSICAL_KINDS:
                     stack.append(c)
 
+    def _start(self, under: ModelHandle | None) -> int:
+        """Node index an analysis starts from: the root, or ``under``."""
+        if under is None:
+            return self.ir.root.index
+        if under._ctx is not self:
+            raise QueryError(
+                "analysis subtree handle belongs to another QueryContext; "
+                "look the element up in this context first"
+            )
+        return under._index
+
     def count_kind(self, kind: str, *, under: ModelHandle | None = None) -> int:
-        start = under._node if under is not None else self.ir.root
-        return self.index.kind_counts(kind)[start.index]
+        return self.index.kind_counts(kind)[self._start(under)]
 
     def count_cores(self, *, under: ModelHandle | None = None) -> int:
         """Number of processing cores in the (sub)tree."""
@@ -226,13 +251,11 @@ class QueryContext:
 
     def count_cuda_devices(self, *, under: ModelHandle | None = None) -> int:
         """Number of devices programmable with CUDA in the (sub)tree."""
-        start = under._node if under is not None else self.ir.root
-        return self.index.cuda_counts()[start.index]
+        return self.index.cuda_counts()[self._start(under)]
 
     def total_static_power(self, *, under: ModelHandle | None = None) -> Quantity:
         """Aggregate static power over the physical (sub)tree."""
-        start = under._node if under is not None else self.ir.root
-        return Quantity(self.index.static_power_w()[start.index], POWER)
+        return Quantity(self.index.static_power_w()[self._start(under)], POWER)
 
     def installed_software(self) -> list[ModelHandle]:
         """All installed software entries of the platform."""
@@ -285,6 +308,10 @@ def xpdl_init(filename: str) -> QueryContext:
         ir = IRModel.load(filename)
     except FileNotFoundError:
         raise QueryError(f"runtime model file not found: {filename}") from None
+    except OSError as exc:
+        raise QueryError(
+            f"cannot open runtime model file {filename}: {exc.strerror or exc}"
+        ) from None
     ctx = QueryContext(ir)
     obs.count("runtime.inits")
     if obs.enabled:

@@ -54,6 +54,23 @@ class TestInitialization:
         with pytest.raises(QueryError):
             xpdl_init("/no/such/file.xir")
 
+    def test_init_directory_raises_query_error(self, tmp_path):
+        # Every OSError from opening the file is typed, naming the path
+        # and the OS reason; a missing file keeps its own message.
+        with pytest.raises(QueryError, match="Is a directory") as exc:
+            xpdl_init(str(tmp_path))
+        assert str(tmp_path) in str(exc.value)
+        with pytest.raises(QueryError, match="runtime model file not found"):
+            xpdl_init(str(tmp_path / "missing.xir"))
+
+    def test_cli_on_directory_exits_2(self, tmp_path, capsys):
+        from repro.cli import main as cli_main
+
+        assert cli_main(["query", str(tmp_path), "//core"]) == 2
+        assert cli_main(["info", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("xpdl: error: cannot open runtime model file") == 2
+
 
 class TestBrowsing:
     def test_children_and_first(self):
@@ -125,6 +142,25 @@ class TestAnalysisFunctions:
         assert ctx.count_cores(under=node) == 2
         dev = ctx.by_id("g0")
         assert ctx.count_cores(under=dev) == 0
+
+    def test_handle_from_another_context_raises(self, liu_ctx, xs_cluster):
+        # The handle's node index means another node in liu's tables: at
+        # index 3 liu answered 4 cores, XScluster's n0 holds 5384.
+        xs = xpdl_init_from_model(IRModel.from_model(xs_cluster.root))
+        n0 = xs.by_id("n0")
+        assert xs.count_cores(under=n0) == 5384
+        for analysis in (
+            lambda: liu_ctx.count_cores(under=n0),
+            lambda: liu_ctx.count_kind("cpu", under=n0),
+            lambda: liu_ctx.count_cuda_devices(under=n0),
+            lambda: liu_ctx.total_static_power(under=n0),
+        ):
+            with pytest.raises(QueryError, match="another QueryContext"):
+                analysis()
+        # Two contexts over one IR share the index, but not handles.
+        twin = xpdl_init_from_model(liu_ctx.ir)
+        with pytest.raises(QueryError):
+            twin.count_cores(under=liu_ctx.root)
 
     def test_installed_software(self):
         ctx = ctx_of(SAMPLE)

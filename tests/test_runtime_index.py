@@ -29,6 +29,7 @@ from repro.runtime import (
     xpdl_init_from_model,
 )
 from repro.runtime.query import QueryContext
+from tests import analysis_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +232,18 @@ class TestDeepTrees:
         assert ctx.count_cuda_devices() == 0
         assert ctx.total_static_power().magnitude == 0.0
 
+    def test_analysis_on_deep_image_chain(self):
+        ir = IRModel.from_bytes(chain_ir(self.DEPTH).to_bytes())
+        ctx = xpdl_init_from_model(ir)
+        assert ctx.index._image is not None
+        assert ctx.count_cores() == 1
+        assert ctx.count_kind("node") == self.DEPTH
+        assert ctx.count_cuda_devices() == 0
+        assert ctx.total_static_power().magnitude == 0.0
+        deepest = ctx.handle(self.DEPTH)
+        assert ctx.count_cores(under=deepest) == 1
+        assert ctx.count_kind("node", under=deepest) == 1
+
     def test_physical_walk_is_iterative(self):
         ctx = xpdl_init_from_model(chain_ir(self.DEPTH))
         assert sum(1 for _ in ctx._physical_walk(ctx.ir.root)) == self.DEPTH + 2
@@ -323,6 +336,34 @@ class TestAnalysisEdgeCases:
         )
         with pytest.raises(UnitError):
             ctx.total_static_power()
+
+    def test_malformed_static_power_raises_for_the_same_node(self):
+        # The dense pass reads carriers in reverse document order, so of
+        # several malformed values the last one raises; a non-physical
+        # carrier is never read, a physical one under it is.
+        spec = (
+            "system",
+            {},
+            [
+                ("cpu", {"static_power": "bad-cpu"}, []),
+                ("software", {"static_power": "bad-software"}, [
+                    ("gpu", {"static_power": "bad-gpu"}, []),
+                ]),
+                ("properties", {"static_power": "bad-properties"}, []),
+            ],
+        )
+        ir = ir_from_spec(spec)
+        with pytest.raises(UnitError) as want:
+            analysis_oracle.static_power_w(ir)
+        assert "bad-gpu" in str(want.value)
+        for ctx in (
+            xpdl_init_from_model(ir),
+            xpdl_init_from_model(IRModel.from_bytes(ir.to_bytes())),
+        ):
+            for _ in range(2):  # and again: a failed build memoizes nothing
+                with pytest.raises(UnitError) as got:
+                    ctx.total_static_power()
+                assert str(got.value) == str(want.value)
 
     def test_placeholder_static_power_is_skipped(self):
         ctx = xpdl_init_from_model(
@@ -442,7 +483,7 @@ class TestCompiledEquivalence:
             ]
 
 
-_PHYS_KINDS = ("node", "core", "device", "software", "properties")
+_PHYS_KINDS = ("node", "core", "device", "gpu", "software", "properties")
 
 
 @st.composite
@@ -451,21 +492,22 @@ def _phys_specs(draw, depth=0):
     attrs = {}
     if draw(st.booleans()):
         attrs = {
-            "static_power": draw(st.sampled_from(("1", "2.5", "?"))),
+            "static_power": draw(st.sampled_from(("1", "2.5", "0.1", "0.7", "0", "?"))),
             "static_power_unit": draw(st.sampled_from(("W", "mW"))),
         }
     children = []
     if depth < 2:
         children = draw(st.lists(_phys_specs(depth=depth + 1), max_size=3))
-    if kind == "device" and draw(st.booleans()):
-        children.append(
-            ("programming_model", {"type": draw(st.sampled_from(("cuda6.0", "opencl")))}, [])
-        )
+    if kind in ("device", "gpu"):
+        for model in draw(st.lists(st.sampled_from(("cuda6.0", "opencl")), max_size=2)):
+            children.append(("programming_model", {"type": model}, []))
     return (kind, attrs, children)
 
 
 class TestAnalysisEquivalence:
-    """Memoized aggregates vs independently written recursive references."""
+    """Memoized aggregates vs independently written recursive references,
+    and bit for bit vs the dense post-order pass (``analysis_oracle``),
+    on an eager index and on one adopted from a serialized image."""
 
     @staticmethod
     def _ref_count(ir, i, kind):
@@ -508,18 +550,26 @@ class TestAnalysisEquivalence:
     @settings(max_examples=150, deadline=None)
     @given(spec=_phys_specs())
     def test_counts_and_power_match_reference(self, spec):
-        ctx = xpdl_init_from_model(ir_from_spec(("system", {}, [spec])))
-        ir = ctx.ir
-        for i in range(len(ir)):
-            under = ctx.handle(i)
-            for kind in ("core", "device", "software"):
-                assert ctx.count_kind(kind, under=under) == self._ref_count(
-                    ir, i, kind
-                ), (i, kind)
-            assert ctx.count_cuda_devices(under=under) == self._ref_cuda(ir, i)
-            assert ctx.total_static_power(under=under).magnitude == pytest.approx(
-                self._ref_power_w(ir, i), rel=1e-12, abs=1e-15
-            )
+        ir = ir_from_spec(("system", {}, [spec]))
+        kinds = ("core", "device", "gpu", "software")
+        dense_counts = {kind: analysis_oracle.kind_counts(ir, kind) for kind in kinds}
+        dense_cuda = analysis_oracle.cuda_counts(ir)
+        dense_power = analysis_oracle.static_power_w(ir)
+        image_ir = IRModel.from_bytes(ir.to_bytes())
+        for ctx in (xpdl_init_from_model(ir), xpdl_init_from_model(image_ir)):
+            for i in range(len(ir)):
+                under = ctx.handle(i)
+                for kind in kinds:
+                    got = ctx.count_kind(kind, under=under)
+                    assert got == dense_counts[kind][i], (i, kind)
+                    assert got == self._ref_count(ir, i, kind), (i, kind)
+                cuda = ctx.count_cuda_devices(under=under)
+                assert cuda == dense_cuda[i] == self._ref_cuda(ir, i)
+                watts = ctx.total_static_power(under=under).magnitude
+                assert watts == dense_power[i], i  # bit for bit
+                assert watts == pytest.approx(
+                    self._ref_power_w(ir, i), rel=1e-12, abs=1e-15
+                )
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,16 @@ Covers the PR-7 acceptance criteria:
   raise :class:`QueryError`.
 * **Cache integration** — ``emit_ir`` persists the image in the disk
   cache, :class:`ModelHost` reopens it with zero index construction, and
-  ``xpdl cache verify`` exits nonzero on a corrupted image.
+  ``xpdl cache verify`` exits nonzero on a corrupted image; every model
+  ``xpdl build`` writes reopens twice without building an index and
+  answers the analyses like an eager index.
+* **Lazy reads** — path queries and the model analyses over an image
+  materialize only the IR nodes whose attributes they read.
 """
 
 from __future__ import annotations
 
+import glob
 import warnings
 
 import pytest
@@ -31,9 +36,10 @@ from repro.diagnostics import QueryError
 from repro.ir import IRModel, XirImageWarning, build_image, read_section_table
 from repro.model import from_document
 from repro.obs import Observer, use_observer
-from repro.runtime import query_all, query_all_naive, xpdl_init_from_model
+from repro.runtime import query_all, query_all_naive, xpdl_init, xpdl_init_from_model
 from repro.runtime.index import IRIndex
 from repro.xpdlxml import parse_xml
+from tests import analysis_oracle
 
 
 def model(text: str):
@@ -87,23 +93,47 @@ def assert_index_equal(a: IRIndex, b: IRIndex) -> None:
         assert a.kinds[i] == b.kinds[i]
         assert list(a.descendant_slice(i)) == list(b.descendant_slice(i))
     assert a.cuda_counts() == b.cuda_counts()
-    assert a.static_power_w() == pytest.approx(b.static_power_w())
+    assert a.static_power_w() == b.static_power_w()  # bit for bit
+    assert_analyses_dense(a)
+
+
+def assert_analyses_dense(index: IRIndex) -> None:
+    """The index's analysis memos equal the dense pass, exactly."""
+    ir = index.ir
+    for kind in sorted({node.kind for node in ir.nodes}):
+        assert index.kind_counts(kind) == analysis_oracle.kind_counts(ir, kind)
+    assert index.cuda_counts() == analysis_oracle.cuda_counts(ir)
+    assert index.static_power_w() == analysis_oracle.static_power_w(ir)
 
 
 # ---------------------------------------------------------------------------
 # property: image-backed answers == fresh index == naive oracle
 # ---------------------------------------------------------------------------
 
-_kind = st.sampled_from(["system", "node", "cpu", "core", "cache", "memory"])
+# "software" is a non-physical kind: it prunes its subtree from the
+# analyses, which the power, CUDA and count memos must all honour.
+_kind = st.sampled_from(
+    ["system", "node", "cpu", "core", "cache", "memory", "device", "software"]
+)
 _attr = st.sampled_from(["id", "name", "size", "unit", "frequency", "type"])
 _value = st.text(min_size=0, max_size=8)
+_watts = st.one_of(
+    st.sampled_from(["?", "0"]), st.floats(0, 1e3).map(repr)
+)
 
 
 @st.composite
 def ir_trees(draw, depth=3):
-    m = model(f"<{draw(_kind)}/>")
+    kind = draw(_kind)
+    m = model(f"<{kind}/>")
     for _ in range(draw(st.integers(0, 3))):
         m.attrs[draw(_attr)] = draw(_value)
+    if draw(st.booleans()):
+        m.attrs["static_power"] = draw(_watts)
+        m.attrs["static_power_unit"] = draw(st.sampled_from(["W", "mW"]))
+    if kind == "device" and draw(st.booleans()):
+        pm = draw(st.sampled_from(["cuda6.0,opencl", "opencl"]))
+        m.add(model(f"<programming_model type='{pm}'/>"))
     if depth > 0:
         for _ in range(draw(st.integers(0, 3))):
             m.add(draw(ir_trees(depth=depth - 1)))
@@ -168,6 +198,38 @@ class TestCorpusImage:
         loaded = IRModel.from_bytes(ir.to_bytes())
         assert loaded.by_id("gpu1").index == ir.by_id("gpu1").index
         assert loaded.by_id("ghost") is None
+
+    def test_read_path_materializes_only_what_it_reads(self, liu_server):
+        ir = IRModel.from_model(liu_server.root, {"system": "liu_gpu_server"})
+        ctx = xpdl_init_from_model(IRModel.from_bytes(ir.to_bytes()))
+        memo = ctx.ir.nodes._memo
+
+        def materialized() -> set[int]:
+            return {i for i, node in enumerate(memo) if node is not None}
+
+        cores = query_all(ctx, "//core")
+        assert len(cores) == 2501
+        assert {h.kind for h in cores} == {"core"}
+        assert materialized() == {0}  # the root, where the query starts
+
+        carriers = {n.index for n in ir.nodes if "static_power" in n.attrs}
+        assert ctx.total_static_power().to("W") == pytest.approx(33)
+        assert materialized() == {0} | carriers
+
+        assert ctx.count_cores() == 2500
+        assert ctx.count_kind("cpu") == 1
+        assert ctx.count_cuda_devices() == 1
+        cuda_models = {
+            c
+            for n in ir.nodes
+            if n.kind in ("device", "gpu")
+            for c in n.children
+            if ir.nodes[c].kind == "programming_model"
+            and "cuda" in ir.nodes[c].attrs["type"]
+        }
+        # The device has two CUDA models; the check stops at the first.
+        assert materialized() <= {0} | carriers | cuda_models
+        assert len(materialized()) == 1 + len(carriers) + 1 == 5
 
     def test_reserialization_is_identity(self, liu_server):
         ir = IRModel.from_model(liu_server.root, {"system": "liu_gpu_server"})
@@ -339,6 +401,31 @@ class TestCacheIntegration:
         assert cli_main(["cache", "--cache-dir", cache_dir, "verify"]) == 1
         err = capsys.readouterr().err
         assert "image" in err
+
+    def test_built_models_reopen_without_index_construction(
+        self, tmp_path, capsys
+    ):
+        cache_dir, out_dir = str(tmp_path / "cache"), str(tmp_path / "out")
+        argv = ["build", "--jobs", "2", "--cache-dir", cache_dir]
+        assert cli_main(argv + ["--out-dir", out_dir]) == 0
+        capsys.readouterr()
+        files = sorted(glob.glob(f"{out_dir}/*.xir"))
+        assert files, "build wrote no .xir models"
+        for path in files:
+            for attempt in (1, 2):
+                obs = Observer()
+                with use_observer(obs):
+                    ctx = xpdl_init(path)
+                # The persisted index is adopted in place on every open.
+                counters = dict(obs.counters)
+                assert counters.get("index.load_mmap") == 1, (path, attempt)
+                assert counters.get("runtime.index_builds", 0) == 0
+                assert "index.rebuilds" not in counters, (path, attempt)
+            eager = IRIndex(ctx.ir, use_image=False)
+            for kind in ("core", "cpu", "device"):
+                assert ctx.index.kind_counts(kind) == eager.kind_counts(kind)
+            assert ctx.index.cuda_counts() == eager.cuda_counts()
+            assert ctx.index.static_power_w() == eager.static_power_w()
 
     def test_cache_stats_reports_images(self, tmp_path, capsys):
         from repro.toolchain import PersistentStageCache
