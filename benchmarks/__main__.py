@@ -17,6 +17,7 @@ from .harness import (
     compare,
     load_report,
     run_bench,
+    skipped_gates,
     summarize,
     write_report,
 )
@@ -72,6 +73,8 @@ def main(argv: list[str] | None = None) -> int:
     print(summarize(baseline))
     print(summarize(current))
     problems = compare(baseline, current, max_regress=args.max_regress)
+    for gate in skipped_gates(current):
+        print(f"bench gate: skipped: {gate}")
     for problem in problems:
         print(f"bench gate: {problem}", file=sys.stderr)
     if problems:

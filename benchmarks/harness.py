@@ -888,6 +888,23 @@ def load_report(path: str) -> dict[str, Any]:
     return data
 
 
+def skipped_gates(current: dict[str, Any]) -> list[str]:
+    """Gates :func:`compare` cannot run on ``current``'s host, with why.
+
+    They add no problem, so the CLI names each one rather than let it
+    read as passed.
+    """
+    sweep = current.get("sweep") or {}
+    if not sweep:
+        return []
+    cpus, jobs = sweep.get("cpus", 0), sweep.get("jobs", 0)
+    if cpus < SWEEP_BENCH_JOBS:
+        return [f"sweep parallel speedup ({cpus} cpus < {SWEEP_BENCH_JOBS})"]
+    if jobs < SWEEP_BENCH_JOBS:
+        return [f"sweep parallel speedup (jobs={jobs} < {SWEEP_BENCH_JOBS})"]
+    return []
+
+
 def compare(
     baseline: dict[str, Any],
     current: dict[str, Any],

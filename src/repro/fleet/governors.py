@@ -136,10 +136,12 @@ class RaceToIdleGovernor(Governor):
     """Energy-optimal state for the predicted work, then park in idle.
 
     :func:`~repro.power.dvfs.best_state` evaluates every running state
-    with full switch-plan accounting — by far the most expensive governor
-    step.  Its inputs here are discrete (the current state, and a
-    predicted cycle count that is always ``n_requests * cycles_per_req``
-    for integer ``n``), so decisions are memoized on the exact
+    with full switch-plan accounting.  It computes in float magnitudes,
+    yet a ranking still costs many times another governor's ladder
+    lookup; a sweep therefore deals every policy's cells to every
+    worker.  Its inputs here are discrete (the current state, and a predicted cycle
+    count that is always ``n_requests * cycles_per_req`` for integer
+    ``n``), so decisions are memoized on the exact
     ``(current, pred_cycles, interval)`` triple: a cache hit returns the
     identical decision the ranking would have produced.
     """

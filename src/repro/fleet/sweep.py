@@ -5,11 +5,13 @@ every governor against several trace families over tens of seeds — is a
 grid of fully independent cells, so it shards across a
 :class:`~concurrent.futures.ProcessPoolExecutor` (worker budget from
 :func:`repro.toolchain.batch.default_jobs`, same in-process fallback for
-fork-restricted sandboxes).  Each worker reopens the hosted model
-*zero-copy* from the content-addressed image store
-(``.xpdl-cache/images/``): :meth:`repro.ir.IRModel.load` mmaps the
-XPDLRT02 image, ``xpdl_init_from_model`` adopts its persisted index
-sections (``index.load_mmap``, never ``index.rebuilds``), and
+fork-restricted sandboxes).  Cells are dealt round-robin in policy-major
+order, so every worker runs a share of every governor (a race-to-idle
+cell costs two to three times another governor's).  Each worker
+reopens the hosted model *zero-copy* from the content-addressed image
+store (``.xpdl-cache/images/``): :func:`repro.runtime.xpdl_init` mmaps
+the XPDLRT02 image and adopts its persisted index sections
+(``index.load_mmap``, never ``index.rebuilds``), and
 :func:`~repro.fleet.simulator.index_state_catalog` is built exactly once
 per worker (``fleet.catalog_builds``) and shared by every cell the worker
 runs — no recomposition, no re-indexing, no per-cell catalog walks.
@@ -135,11 +137,10 @@ def _run_sweep_cells(task: _SweepTask) -> _WorkerOut:
             # Zero-copy reopen: mmap the persisted XPDLRT02 image and
             # adopt its index sections; the catalog is then read through
             # the compiled query API once for all of this worker's cells.
-            from ..ir import IRModel
-            from ..runtime import xpdl_init_from_model
+            # A missing or unreadable image raises QueryError naming it.
+            from ..runtime import xpdl_init
 
-            ir = IRModel.load(task.image_path)
-            ctx = xpdl_init_from_model(ir)
+            ctx = xpdl_init(task.image_path)
             observer.count("fleet.sweep.image_opens")
             catalog = index_state_catalog(ctx, task.testbed)
         sim = FleetSimulator(
@@ -345,6 +346,51 @@ class SweepStats:
         }
 
 
+def _deal_cells(
+    cells: list[SweepCell], policies: tuple[str, ...], workers: int
+) -> list[list[tuple[int, SweepCell]]]:
+    """Deal ``(grid index, cell)`` pairs round-robin in policy-major order.
+
+    All of the first policy's cells are dealt (in grid order), then the
+    second's, and so on.  Governors differ in cost per cell (race-to-idle
+    ranks power states where the others look up a ladder end), and grid
+    order repeats the policies with period ``len(policies)``, so dealing
+    grid order round-robin would hand each worker a fixed subset of the
+    policies.  Any round-robin deal gives every worker ``floor`` or
+    ``ceil`` of ``cells / workers`` cells; policy-major order also spreads
+    every policy's cells over all workers.
+    """
+    rank = {policy: i for i, policy in enumerate(policies)}
+    order = sorted(range(len(cells)), key=lambda i: rank[cells[i].policy])
+    shards: list[list[tuple[int, SweepCell]]] = [[] for _ in range(workers)]
+    for k, i in enumerate(order):
+        shards[k % workers].append((i, cells[i]))
+    return shards
+
+
+def _run_tasks(tasks: list[_SweepTask], merged: Observer) -> list[_WorkerOut]:
+    """Run every task, in a process pool when there is more than one.
+
+    Only a failure to create the pool or to submit to it (a
+    fork-restricted sandbox) degrades to in-process execution, counted as
+    ``fleet.sweep.pool_fallback``: same cells, same report bytes.  An
+    exception a worker raises propagates once, unchanged.
+    """
+    if len(tasks) == 1:
+        return [_run_sweep_cells(tasks[0])]
+    pool: ProcessPoolExecutor | None = None
+    try:
+        pool = ProcessPoolExecutor(max_workers=len(tasks))
+        futures = [pool.submit(_run_sweep_cells, task) for task in tasks]
+    except (OSError, RuntimeError):
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+        merged.count("fleet.sweep.pool_fallback")
+        return [_run_sweep_cells(task) for task in tasks]
+    with pool:
+        return [future.result() for future in futures]
+
+
 def run_sweep(
     testbed: SimTestbed,
     *,
@@ -370,9 +416,10 @@ def run_sweep(
 
     Returns ``(report, stats)``: the report is byte-identical for any
     ``jobs``; the stats (wall, workers, merged counters) are not part of
-    the digest.  Pool creation failures (fork-restricted sandboxes)
-    degrade to in-process execution, recorded as
-    ``fleet.sweep.pool_fallback``.
+    the digest.  A failure to create the pool or submit to it
+    (fork-restricted sandboxes) degrades to in-process execution,
+    recorded as ``fleet.sweep.pool_fallback``; an error raised in a
+    worker propagates unchanged.
     """
     from ..toolchain.batch import default_jobs
 
@@ -413,9 +460,7 @@ def run_sweep(
     # instruction models are irrelevant to the interval loop and would
     # bloat every task pickle.
     pruned = SimTestbed(name=testbed.name, machines=dict(testbed.machines))
-    shards: list[list[tuple[int, SweepCell]]] = [[] for _ in range(n_workers)]
-    for i, cell in enumerate(cells):
-        shards[i % n_workers].append((i, cell))
+    shards = _deal_cells(cells, policy_list, n_workers)
     tasks = [
         _SweepTask(
             worker_index=w,
@@ -432,17 +477,7 @@ def run_sweep(
 
     merged = Observer()
     t0 = time.perf_counter()
-    if n_workers == 1:
-        outs = [_run_sweep_cells(task) for task in tasks]
-    else:
-        try:
-            with ProcessPoolExecutor(max_workers=n_workers) as pool:
-                outs = list(pool.map(_run_sweep_cells, tasks))
-        except (OSError, RuntimeError):
-            # Fork-restricted sandbox: degrade to in-process, same cells,
-            # same report bytes.
-            merged.count("fleet.sweep.pool_fallback")
-            outs = [_run_sweep_cells(task) for task in tasks]
+    outs = _run_tasks(tasks, merged)
     wall_s = time.perf_counter() - t0
 
     results: list[PolicyResult | None] = [None] * len(cells)

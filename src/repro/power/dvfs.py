@@ -12,14 +12,19 @@ Which wins depends on the state power curve and the idle power — exactly
 the data the PSM carries.  :func:`optimize_state` evaluates every state
 (including switching overheads to enter it and to reach idle afterwards)
 and returns the full ranking, which E5's bench sweeps across deadlines to
-show the crossover.
+show the crossover.  The fleet's race-to-idle governor asks
+:func:`best_state` once per memo miss, so :func:`evaluate_state`, the one
+implementation all of them share, computes in float magnitudes: units
+are checked where values enter (PSM construction, the deadline, the
+dynamic-energy term), not on every operation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..units import ENERGY, TIME, Quantity
+from ..diagnostics import UnitError, XpdlError
+from ..units import ENERGY, TIME, Quantity, dimension_name
 from .psm import PowerStateMachineModel
 
 
@@ -54,6 +59,14 @@ def evaluate_state(
     The remaining deadline is spent in ``idle_state`` (default: the PSM's
     lowest-power state).  Switch costs from ``start_state`` into the run
     state and from the run state into idle are included.
+
+    The body computes in float magnitudes: the PSM checked its states'
+    and transitions' dimensions when it was built, and ``deadline`` and
+    ``dynamic_energy_per_cycle`` are checked here, once, where the
+    dimension-checked arithmetic would have first combined them.  The
+    results are wrapped in :class:`Quantity` once, at the end.  Every
+    term is the one ``Quantity`` arithmetic computes (the ``0.0 +``
+    switch sums, ``float(cycles)``), so results are bit-identical to it.
     """
     state = psm.state(state_name)
     idle = psm.state(idle_state) if idle_state else psm.idle_state()
@@ -68,32 +81,48 @@ def evaluate_state(
             Quantity(float("inf"), ENERGY),
             Quantity(0.0, ENERGY),
         )
-    run_time = Quantity(cycles / state.frequency.magnitude, TIME)
-    switch_energy = Quantity(0.0, ENERGY)
-    switch_time = Quantity(0.0, TIME)
+    power = state.power.magnitude
+    run_time = cycles / state.frequency.magnitude
+    switch_energy = 0.0
+    switch_time = 0.0
     if start != state_name:
         plan = psm.switch_plan(start, state_name)
-        switch_energy = switch_energy + plan.energy
-        switch_time = switch_time + plan.time
-    total_busy = run_time + switch_time
-    idle_time = deadline - total_busy
-    feasible = idle_time.magnitude >= 0.0
-    energy = state.power * run_time
+        switch_energy = 0.0 + plan.energy.magnitude
+        switch_time = 0.0 + plan.time.magnitude
+    if deadline.dimension != TIME:
+        raise UnitError(
+            f"cannot subtract {dimension_name(deadline.dimension)} and time"
+        )
+    idle_time = deadline.magnitude - (run_time + switch_time)
+    feasible = idle_time >= 0.0
+    energy = power * run_time
     if dynamic_energy_per_cycle is not None:
-        energy = energy + dynamic_energy_per_cycle * cycles
-    if feasible and idle_time.magnitude > 0.0 and idle.name != state_name:
+        if dynamic_energy_per_cycle.dimension != ENERGY:
+            raise UnitError(
+                "cannot add energy and "
+                f"{dimension_name(dynamic_energy_per_cycle.dimension)}"
+            )
+        energy = energy + dynamic_energy_per_cycle.magnitude * float(cycles)
+    if feasible and idle_time > 0.0 and idle.name != state_name:
         plan = psm.switch_plan(state_name, idle.name)
         # Entering idle only pays off if its overhead fits the slack.
-        if plan.time.magnitude <= idle_time.magnitude:
-            switch_energy = switch_energy + plan.energy
-            idle_run = idle_time - plan.time
-            energy = energy + idle.power * idle_run
+        if plan.time.magnitude <= idle_time:
+            switch_energy = switch_energy + plan.energy.magnitude
+            idle_run = idle_time - plan.time.magnitude
+            energy = energy + idle.power.magnitude * idle_run
         else:
-            energy = energy + state.power * idle_time
-    elif feasible and idle_time.magnitude > 0.0:
-        energy = energy + idle.power * idle_time
+            energy = energy + power * idle_time
+    elif feasible and idle_time > 0.0:
+        energy = energy + idle.power.magnitude * idle_time
+    # max() keeps its first argument unless the second is greater, so a
+    # -0.0 or NaN idle time is reported as is.
     return StateChoice(
-        state_name, feasible, run_time, max(idle_time, Quantity(0.0, TIME), key=lambda q: q.magnitude), energy, switch_energy
+        state_name,
+        feasible,
+        Quantity(run_time, TIME),
+        Quantity(max(idle_time, 0.0), TIME),
+        Quantity(energy, ENERGY),
+        Quantity(switch_energy, ENERGY),
     )
 
 
@@ -118,8 +147,13 @@ def optimize_state(
         for s in psm.by_frequency()
         if not s.is_off()
     ]
+    # The sort key is ``total_energy``'s magnitude, summed without
+    # building the Quantity.
     choices.sort(
-        key=lambda c: (not c.feasible, c.total_energy.magnitude)
+        key=lambda c: (
+            not c.feasible,
+            c.energy.magnitude + c.switch_energy.magnitude,
+        )
     )
     return choices
 
@@ -160,8 +194,6 @@ def thermally_sustainable_states(
     ladder.  States above the limit remain usable in bursts (the throttler
     governs those); this filter is for steady-state planning.
     """
-    from ..diagnostics import XpdlError
-
     if node.max_temperature_c is None:
         raise XpdlError(
             f"thermal node {node.name!r} declares no max_temperature"

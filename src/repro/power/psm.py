@@ -12,14 +12,22 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from ..diagnostics import XpdlError
+from ..diagnostics import UnitError, XpdlError
 from ..model import (
     ModelElement,
     PowerState,
     PowerStateMachine,
     Transition,
 )
-from ..units import ENERGY, FREQUENCY, POWER, TIME, Quantity
+from ..units import (
+    ENERGY,
+    FREQUENCY,
+    POWER,
+    TIME,
+    Dimension,
+    Quantity,
+    dimension_name,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,8 +66,22 @@ class SwitchPlan:
         return len(self.path) - 1
 
 
+def _require_dimension(
+    psm: str, what: str, value: Quantity, expected: Dimension
+) -> None:
+    if value.dimension != expected:
+        raise UnitError(
+            f"PSM {psm!r}: {what} is {dimension_name(value.dimension)}, "
+            f"expected {dimension_name(expected)}"
+        )
+
+
 class PowerStateMachineModel:
-    """Executable FSM over declared power states."""
+    """Executable FSM over declared power states.
+
+    Construction rejects, with a :class:`UnitError`, a state frequency or
+    power, or a transition time or energy, of the wrong dimension.
+    """
 
     def __init__(
         self,
@@ -71,6 +93,12 @@ class PowerStateMachineModel:
     ) -> None:
         if not states:
             raise XpdlError(f"power state machine {name!r} has no states")
+        # Dimensions are checked here, once, so that the DVFS evaluation
+        # can compute in plain float magnitudes.
+        for s in states:
+            what = f"state {s.name!r}"
+            _require_dimension(name, f"{what} frequency", s.frequency, FREQUENCY)
+            _require_dimension(name, f"{what} power", s.power, POWER)
         self.name = name
         self.power_domain = power_domain
         self.states = {s.name: s for s in states}
@@ -82,6 +110,9 @@ class PowerStateMachineModel:
                     f"transition {t.head}->{t.tail} of PSM {name!r} names "
                     "an undeclared state"
                 )
+            arc = f"transition {t.head}->{t.tail}"
+            _require_dimension(name, f"{arc} time", t.time, TIME)
+            _require_dimension(name, f"{arc} energy", t.energy, ENERGY)
             self.transitions[(t.head, t.tail)] = t
         self._plan_cache: dict[tuple[str, str, str], SwitchPlan] = {}
 

@@ -45,3 +45,14 @@ def liu_ctx(liu_server):
 @pytest.fixture(scope="session")
 def liu_testbed(liu_server):
     return testbed_from_model(liu_server.root)
+
+
+@pytest.fixture(scope="session")
+def fleet_cluster_dir(tmp_path_factory):
+    """The generated corpus whose first system, ``gen_sys0`` (21
+    machines), the fleet benchmark sweeps."""
+    from repro.corpus import generate_corpus
+
+    path = tmp_path_factory.mktemp("fleet-corpus")
+    generate_corpus(11, 40).write_to(str(path))
+    return str(path)

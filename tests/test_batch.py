@@ -269,6 +269,32 @@ class TestBenchHarness:
         loaded = harness.load_report(path)
         assert loaded == json.loads(json.dumps(data))
 
+    def test_compare_names_a_speedup_gate_it_cannot_run(self, tmp_path, capsys):
+        harness = pytest.importorskip("benchmarks.harness")
+        from benchmarks.__main__ import main as bench_main
+
+        baseline_path = os.path.join(
+            os.path.dirname(harness.__file__), "baseline", "BENCH_baseline.json"
+        )
+        baseline = harness.load_report(baseline_path)
+        cases = [
+            (2, 2, "bench gate: skipped: sweep parallel speedup (2 cpus < 4)"),
+            (8, 2, "bench gate: skipped: sweep parallel speedup (jobs=2 < 4)"),
+            (8, 4, None),
+        ]
+        for cpus, jobs, line in cases:
+            current = copy.deepcopy(baseline)
+            current["sweep"].update(cpus=cpus, jobs=jobs, parallel_speedup=3.0)
+            path = tmp_path / f"BENCH_{cpus}_{jobs}.json"
+            path.write_text(json.dumps(current))
+            # A skipped gate is neither a problem nor a failing exit.
+            assert harness.compare(baseline, current) == []
+            assert bench_main(["compare", baseline_path, str(path)]) == 0
+            out = capsys.readouterr().out
+            skipped = [x for x in out.splitlines() if "skipped" in x]
+            assert skipped == ([line] if line else []), out
+            assert out.rstrip().endswith("bench gate: OK")
+
     def test_committed_baseline_is_loadable(self):
         harness = pytest.importorskip("benchmarks.harness")
         baseline = harness.load_report(

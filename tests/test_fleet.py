@@ -328,3 +328,35 @@ class TestIndexIntegration:
             state_catalog=catalog,
             request_ops=10_000,
         ).digest()
+
+
+class TestGeneratedClusterReports:
+    """``xpdl fleet`` on the generated benchmark cluster: every governor,
+    one day of 24 intervals, trace seeds 0 and 3."""
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_reports_are_byte_stable_and_physical(
+        self, fleet_cluster_dir, tmp_path, capsys, seed
+    ):
+        from repro.cli import main as cli_main
+
+        reports = []
+        for run in ("a", "b"):
+            out = tmp_path / f"fleet-{seed}-{run}.json"
+            argv = ["-I", fleet_cluster_dir, "fleet", "--model", "gen_sys0"]
+            argv += ["--trace", "diurnal", "--seed", str(seed), "--intervals", "24"]
+            for policy in POLICIES:
+                argv += ["--policy", policy]
+            assert cli_main(argv + ["--format", "json", "-o", str(out)]) == 0
+            capsys.readouterr()
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        report = json.loads(reports[0])
+        by = {p["policy"]: p for p in report["policies"]}
+        perf, save, od = by["performance"], by["powersave"], by["ondemand"]
+        # powersave can only trade service for energy, never both ways.
+        assert save["energy_j"] <= perf["energy_j"]
+        # ondemand saves energy without giving up SLO attainment.
+        assert od["energy_j"] <= perf["energy_j"]
+        assert od["slo_attainment"] >= perf["slo_attainment"]
+        assert report["energy_delta_vs_performance"]["performance"] == 0.0

@@ -13,12 +13,15 @@ The two contracts under test:
 from __future__ import annotations
 
 import json
+import os
+import re
+from concurrent.futures import Future
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.diagnostics import XpdlError
+from repro.diagnostics import QueryError, XpdlError
 from repro.fleet import (
     GOVERNORS,
     TRACE_KINDS,
@@ -30,6 +33,7 @@ from repro.fleet import (
     run_sweep,
     simulate_fleet,
 )
+from repro.fleet import sweep as sweep_module
 from repro.obs import Observer, use_observer
 from repro.units import TIME, Quantity
 from tests.fleet_oracle import CursorFleetSimulator, simulate_fleet_cursor
@@ -483,3 +487,157 @@ class TestSweepImageReopen:
             image_path=image_path,
         )
         assert report.to_json() == direct.to_json()
+
+
+class _InlinePool:
+    """A stand-in for the process pool: runs each submitted shard
+    in-process, records it, and can make a worker's result raise."""
+
+    def __init__(self, tasks: list, worker_error: BaseException | None = None):
+        self.tasks = tasks
+        self.worker_error = worker_error
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.shutdown()
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+    def submit(self, fn, task):
+        self.tasks.append(task)
+        future = Future()
+        if self.worker_error is not None:
+            future.set_exception(self.worker_error)
+        else:
+            future.set_result(fn(task))
+        return future
+
+    def map(self, fn, tasks):
+        return [self.submit(fn, task).result() for task in tasks]
+
+
+def _install_pool(monkeypatch, worker_error=None) -> list:
+    tasks: list = []
+    monkeypatch.setattr(
+        sweep_module,
+        "ProcessPoolExecutor",
+        lambda max_workers: _InlinePool(tasks, worker_error),
+    )
+    return tasks
+
+
+_GRID = dict(
+    policies=POLICIES,
+    traces=("diurnal", "step"),
+    seeds=(1, 2),
+    intervals=6,
+    interval_s=1.0,
+    request_ops=1000,
+)
+
+
+class TestSharding:
+    """Cells are dealt round-robin in policy-major order."""
+
+    @pytest.mark.parametrize("jobs", [2, 3, 4])
+    def test_every_worker_gets_every_policy(self, monkeypatch, jobs):
+        tasks = _install_pool(monkeypatch)
+        bed = _toy_testbed(n=2)
+        report, stats = run_sweep(bed, jobs=jobs, **_GRID)
+        n_cells = len(report.cells)
+        assert n_cells == 16 and len(tasks) == stats.workers == jobs
+        sizes = sorted(len(t.cells) for t in tasks)
+        # Every shard holds floor or ceil of cells / workers.
+        assert sizes[0] == n_cells // jobs and sizes[-1] - sizes[0] <= 1
+        for task in tasks:
+            assert {cell.policy for _, cell in task.cells} == set(POLICIES), [
+                cell.policy for _, cell in task.cells
+            ]
+        indices = sorted(i for t in tasks for i, _ in t.cells)
+        assert indices == list(range(n_cells))
+        # Results still come back by cell index.
+        serial, _ = run_sweep(bed, jobs=1, **_GRID)
+        assert report.to_json() == serial.to_json()
+
+    def test_no_empty_shard_up_to_one_cell_each(self, monkeypatch):
+        tasks = _install_pool(monkeypatch)
+        grid = dict(_GRID, traces=("diurnal",), seeds=(1,))
+        run_sweep(_toy_testbed(n=2), jobs=len(POLICIES), **grid)
+        assert [len(t.cells) for t in tasks] == [1] * len(POLICIES)
+        tasks.clear()
+        run_sweep(_toy_testbed(n=2), jobs=99, **grid)
+        assert [len(t.cells) for t in tasks] == [1] * len(POLICIES)
+
+
+class TestPoolFailures:
+    def test_worker_error_propagates_without_rerun(self, monkeypatch):
+        # A worker's RuntimeError (RecursionError is one) is not a pool
+        # failure: it must not send the grid to the in-process fallback.
+        _install_pool(monkeypatch, worker_error=RecursionError("deep worker"))
+        with pytest.raises(RecursionError, match="deep worker"):
+            run_sweep(_toy_testbed(n=2), jobs=2, **_GRID)
+
+    def test_pool_creation_failure_falls_back_in_process(self, monkeypatch):
+        def no_pool(max_workers):
+            raise OSError("no semaphores here")
+
+        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", no_pool)
+        bed = _toy_testbed(n=2)
+        report, stats = run_sweep(bed, jobs=2, **_GRID)
+        assert stats.counters["fleet.sweep.pool_fallback"] == 1
+        assert stats.workers == 2
+        serial, _ = run_sweep(bed, jobs=1, **_GRID)
+        assert report.to_json() == serial.to_json()
+
+    def test_missing_image_raises_query_error_once(self, monkeypatch, tmp_path):
+        from repro.ir import IRModel
+
+        parent = os.getpid()
+        parent_loads = []
+        load = IRModel.load
+
+        def spy(path):
+            if os.getpid() == parent:
+                parent_loads.append(path)
+            return load(path)
+
+        monkeypatch.setattr(IRModel, "load", staticmethod(spy))
+        missing = str(tmp_path / "missing.xir")
+        with pytest.raises(QueryError, match=f"not found: {re.escape(missing)}"):
+            run_sweep(_toy_testbed(n=2), jobs=2, image_path=missing, **_GRID)
+        # The workers failed; no shard ran again in this process.
+        assert parent_loads == []
+
+
+class TestGeneratedClusterSweep:
+    def test_jobs_1_and_2_agree_and_reopen_the_image(
+        self, fleet_cluster_dir, tmp_path, capsys
+    ):
+        from tests.test_cli import run_cli
+
+        reports = {}
+        for jobs in (1, 2):
+            out = tmp_path / f"sweep-j{jobs}.json"
+            stats_out = tmp_path / f"stats-j{jobs}.json"
+            argv = ["-I", fleet_cluster_dir, "fleet", "sweep", "--model", "gen_sys0"]
+            argv += ["--policy", "performance,ondemand", "--trace", "diurnal,poisson"]
+            argv += ["--seeds", "1..2", "--intervals", "12", "--jobs", str(jobs)]
+            argv += ["--cache-dir", str(tmp_path / "cache"), "--format", "json"]
+            argv += ["-o", str(out), "--stats-out", str(stats_out)]
+            code, _out, err = run_cli(capsys, *argv)
+            assert code == 0, err
+            reports[jobs] = out.read_bytes()
+            stats = json.loads(stats_out.read_text())
+            c = stats["counters"]
+            assert stats["jobs"] == jobs
+            # Zero-copy reopen: the persisted index is adopted, never rebuilt.
+            assert c.get("index.rebuilds", 0) == 0, c
+            assert c["fleet.sweep.image_opens"] == stats["workers"], c
+            assert c["index.load_mmap"] == stats["workers"], c
+            # The state catalog is compiled once per worker, not per cell.
+            assert c["fleet.catalog_builds"] == stats["workers"], c
+            assert c["fleet.sweep.cells"] == 8, c
+        assert reports[1] == reports[2]

@@ -1,8 +1,12 @@
 """Tests for instruction energy models, accounting and DVFS optimization."""
 
-import pytest
+import math
 
-from repro.diagnostics import XpdlError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.diagnostics import UnitError, XpdlError
 from repro.model import Instructions, from_document
 from repro.power import (
     EnergyAccountant,
@@ -15,8 +19,9 @@ from repro.power import (
     evaluate_state,
     optimize_state,
 )
-from repro.units import ENERGY, Quantity
+from repro.units import ENERGY, FREQUENCY, POWER, TIME, Quantity
 from repro.xpdlxml import parse_xml
+from tests import dvfs_oracle
 
 
 def q(v, u):
@@ -230,3 +235,161 @@ class TestDvfs:
         assert tight.state == "P3"
         assert loose.state in ("P1", "IDLE")
         assert tight.state != loose.state
+
+
+# -- the float evaluation against the Quantity-arithmetic oracle ----------
+
+#: Magnitudes that reach the corner cases: signed zeros, the smallest
+#: subnormal (whose quotients overflow to inf), and ordinary values.
+_EDGE = (0.0, -0.0, 5e-324, 1e-12, 1e-6, 1e-3, 0.5, 1.0, 2.0, 1e9, 3.6e9)
+
+
+def _magnitudes(lo: float, hi: float):
+    return st.one_of(
+        st.sampled_from(_EDGE),
+        st.floats(min_value=lo, max_value=hi, allow_nan=False),
+    )
+
+
+@st.composite
+def _psms(draw):
+    """PSMs with off states and missing transitions (so switches go
+    multi-hop or fail as unreachable), with zero, tiny and ordinary
+    frequencies, powers and switch costs."""
+    names = [f"S{i}" for i in range(draw(st.integers(1, 5)))]
+    states = []
+    for name in names:
+        off = draw(st.integers(0, 4)) == 0
+        freq = 0.0 if off else draw(_magnitudes(1e8, 5e9).filter(bool))
+        power = draw(_magnitudes(0.0, 50.0))
+        states.append(PowerStateDef(name, Quantity(freq, FREQUENCY), Quantity(power, POWER)))
+    # About one transition in four is missing.
+    transitions = [
+        TransitionDef(
+            a,
+            b,
+            Quantity(draw(_magnitudes(0.0, 2.0)), TIME),
+            Quantity(draw(_magnitudes(0.0, 1.0)), ENERGY),
+        )
+        for a in names
+        for b in names
+        if a != b and draw(st.integers(0, 3))
+    ]
+    return PowerStateMachineModel("h", states, transitions)
+
+
+@st.composite
+def _scenarios(draw):
+    """One PSM plus every ``evaluate_state`` input: start and idle states
+    (an undeclared start too), zero and tiny deadlines (and a non-time
+    one), and a dynamic-energy term (and a non-energy one)."""
+    psm = draw(_psms())
+    names = psm.state_names()
+    cycles = draw(
+        st.one_of(
+            st.sampled_from((0, 1, 10**6, 4 * 10**9, 0.0, -0.0, 1e9, 1.3e9)),
+            st.floats(min_value=0.0, max_value=1e10, allow_nan=False),
+        )
+    )
+    running = [s for s in psm.by_frequency() if not s.is_off()]
+    if running and draw(st.booleans()):
+        # Near one state's run time, so that the idle slack is about as
+        # long as a switch and both idle branches are taken.
+        ref = draw(st.sampled_from(running)).frequency.magnitude
+        deadline = cycles / ref * draw(st.floats(min_value=0.5, max_value=3.0))
+    else:
+        deadline = draw(
+            st.one_of(
+                st.sampled_from((0.0, -0.0, 5e-324, 1e-9, 1e-3, 1.0, 300.0, math.inf)),
+                st.floats(min_value=0.0, max_value=20.0, allow_nan=False),
+            )
+        )
+    return dict(
+        psm=psm,
+        cycles=cycles,
+        deadline=Quantity(deadline, draw(st.sampled_from((TIME, TIME, TIME, ENERGY)))),
+        start_state=draw(st.sampled_from([None, *names, "nowhere"])),
+        idle_state=draw(st.sampled_from([None, *names])),
+        dynamic_energy_per_cycle=draw(
+            st.one_of(
+                st.none(),
+                _magnitudes(0.0, 1e-6).map(lambda m: Quantity(m, ENERGY)),
+                st.just(Quantity(1e-9, POWER)),
+            )
+        ),
+    )
+
+
+def _same_float(a: float, b: float) -> bool:
+    """Equal values (NaN matching NaN) with equal signs, so 0.0 != -0.0."""
+    same = a == b or (math.isnan(a) and math.isnan(b))
+    return same and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _assert_same_choice(got, want) -> None:
+    assert got.state == want.state
+    assert got.feasible is want.feasible
+    for field in ("run_time", "idle_time", "energy", "switch_energy", "total_energy"):
+        g, w = getattr(got, field), getattr(want, field)
+        assert g.dimension == w.dimension, field
+        assert _same_float(g.magnitude, w.magnitude), (field, g, w)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs), None
+    except Exception as exc:  # compared by type and text below
+        return None, (type(exc), str(exc))
+
+
+class TestFloatEvaluationMatchesOracle:
+    """``evaluate_state`` computes in floats; every field, ranking and
+    error must equal the ``Quantity``-arithmetic body bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scenario=_scenarios())
+    def test_fields_ranking_and_errors_match(self, scenario):
+        psm, cycles, deadline = (scenario.pop(k) for k in ("psm", "cycles", "deadline"))
+        for name in psm.state_names():
+            got, got_err = _outcome(evaluate_state, psm, name, cycles, deadline, **scenario)
+            want, want_err = _outcome(
+                dvfs_oracle.evaluate_state, psm, name, cycles, deadline, **scenario
+            )
+            assert got_err == want_err
+            if want is not None:
+                _assert_same_choice(got, want)
+        del scenario["idle_state"]
+        ranked, ranked_err = _outcome(optimize_state, psm, cycles, deadline, **scenario)
+        want_ranked, want_err = _outcome(
+            dvfs_oracle.optimize_state, psm, cycles, deadline, **scenario
+        )
+        assert ranked_err == want_err
+        if want_ranked is not None:
+            assert [c.state for c in ranked] == [c.state for c in want_ranked]
+            for got, want in zip(ranked, want_ranked):
+                _assert_same_choice(got, want)
+
+    def test_signed_zero_idle_time_is_kept(self):
+        # deadline -0.0 minus a zero busy time is -0.0: feasible, and the
+        # clamp keeps the sign, as the Quantity body did.
+        psm = make_psm()
+        deadline = Quantity(-0.0, TIME)
+        got = evaluate_state(psm, "P1", 0, deadline)
+        want = dvfs_oracle.evaluate_state(psm, "P1", 0, deadline)
+        assert got.feasible and want.feasible
+        assert math.copysign(1.0, got.idle_time.magnitude) == -1.0
+        _assert_same_choice(got, want)
+
+    def test_non_time_deadline_keeps_the_message(self):
+        psm = make_psm()
+        for fn in (evaluate_state, dvfs_oracle.evaluate_state):
+            with pytest.raises(UnitError) as exc:
+                fn(psm, "P3", 1e9, q(1, "J"))
+            assert str(exc.value) == "cannot subtract energy and time"
+
+    def test_non_energy_dynamic_term_keeps_the_message(self):
+        psm = make_psm()
+        for fn in (evaluate_state, dvfs_oracle.evaluate_state):
+            with pytest.raises(UnitError) as exc:
+                fn(psm, "P3", 1e9, q(1, "s"), dynamic_energy_per_cycle=q(1, "W"))
+            assert str(exc.value) == "cannot add energy and power"

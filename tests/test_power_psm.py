@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.diagnostics import XpdlError
+from repro.diagnostics import UnitError, XpdlError
 from repro.model import from_document
 from repro.power import (
     PowerStateDef,
@@ -56,6 +56,29 @@ class TestConstruction:
         bad = [TransitionDef("P1", "P9", q(1, "us"), q(1, "nJ"))]
         with pytest.raises(XpdlError):
             PowerStateMachineModel("x", states, bad)
+
+    def test_joule_valued_state_power_rejected(self):
+        # The float DVFS evaluation trusts these dimensions; unchecked, it
+        # would report 25 J for a joule-valued power.
+        states = [
+            PowerStateDef("LO", q(1, "GHz"), q(10, "W")),
+            PowerStateDef("HI", q(2, "GHz"), q(25, "J")),
+        ]
+        with pytest.raises(UnitError) as exc:
+            PowerStateMachineModel("p", states, [])
+        assert str(exc.value) == "PSM 'p': state 'HI' power is energy, expected power"
+
+    def test_wrong_dimension_frequency_and_transition_costs_rejected(self):
+        ok = PowerStateDef("A", q(1, "GHz"), q(1, "W"))
+        with pytest.raises(UnitError, match="state 'B' frequency is power"):
+            PowerStateMachineModel("p", [ok, PowerStateDef("B", q(1, "W"), q(1, "W"))], [])
+        b = PowerStateDef("B", q(2, "GHz"), q(2, "W"))
+        for bad, what in (
+            (TransitionDef("A", "B", q(1, "nJ"), q(1, "nJ")), "A->B time is energy"),
+            (TransitionDef("A", "B", q(1, "us"), q(1, "W")), "A->B energy is power"),
+        ):
+            with pytest.raises(UnitError, match=f"transition {what}, expected"):
+                PowerStateMachineModel("p", [ok, b], [bad])
 
     def test_wrong_element_kind(self):
         m = from_document(parse_xml("<cpu name='x'/>"))
