@@ -44,20 +44,27 @@ injects a deterministic failure schedule into it.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
-from .diagnostics import XpdlError
+from .diagnostics import DiagnosticSink, XpdlError
 from .modellib import PAPER_SYSTEMS
 from .obs import NULL_OBSERVER, Observer, get_observer, use_observer
 from .schema import CORE_SCHEMA, schema_to_xml
+from .service.core import (
+    DEFAULT_MAX_MODEL_BYTES,
+    DEFAULT_RELOAD_TTL_S,
+    models_payload,
+)
+from .service.http import DEFAULT_ADDRESS, DEFAULT_PORT, DEFAULT_WORKERS
 from .service.options import (
     RepositoryOptions,
-    ServiceOptions,
     build_repository,
     repository_parent_parser,
 )
 from .toolchain import ToolchainSession
+from .toolchain.diskcache import DEFAULT_CACHE_DIR
 
 
 def _repository(args):
@@ -74,22 +81,44 @@ def _session(args) -> ToolchainSession:
     return ToolchainSession(_repository(args))
 
 
-def _print_diagnostics(session: ToolchainSession) -> None:
-    """Render the session's diagnostics exactly once, to stderr.
+def _print_diagnostics(sink: DiagnosticSink) -> None:
+    """Render the invocation's diagnostics exactly once, to stderr.
 
     Deduplicated: a diagnostic re-emitted by several systems or repeat
     rounds (shared unresolved refs, e.g.) prints once per invocation.
     """
-    text = session.sink.render(dedupe=True)
+    text = sink.render(dedupe=True)
     if text:
         print(text, file=sys.stderr)
 
 
+def _observer() -> Observer:
+    """This invocation's observer under ``--trace``, else a fresh one, for
+    the commands that report counters whether they trace or not."""
+    observer = get_observer()
+    return observer if observer.enabled else Observer()
+
+
+def _write_or_print(
+    path: str | None, text: str, note: str | None = None, *, end: str = ""
+) -> None:
+    """Write ``text`` to ``path`` (``-o FILE``) and print ``note``
+    (default ``wrote PATH``); without a path, print ``text`` and ``end``."""
+    if not path:
+        print(text, end=end)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    print(note or f"wrote {path}")
+
+
 def cmd_list(args) -> int:
-    repo = _session(args).repository
-    for ident in repo.identifiers():
-        entry = repo.index()[ident]
-        print(f"{ident:32s} <{entry.root_tag}>  {entry.store.url}{entry.path}")
+    # The rows of the daemon's models op, so both list the same index.
+    for row in models_payload(_repository(args))["models"]:
+        print(
+            f"{row['identifier']:32s} <{row['root_tag']}>  "
+            f"{row['store']}{row['path']}"
+        )
     return 0
 
 
@@ -108,14 +137,14 @@ def cmd_validate(args) -> int:
             f"{result.warnings} warning(s), "
             f"{result.placeholders} placeholder(s)"
         )
-    _print_diagnostics(session)
+    _print_diagnostics(session.sink)
     return 1 if session.sink.has_errors() else 0
 
 
 def cmd_compose(args) -> int:
     session = _session(args)
     result = session.emit_ir(args.identifier, keep_all=args.keep_all)
-    _print_diagnostics(session)
+    _print_diagnostics(session.sink)
     out = args.output or f"{args.identifier}.xir"
     result.ir.save(out)
     print(
@@ -127,14 +156,9 @@ def cmd_compose(args) -> int:
 
 def cmd_build(args) -> int:
     """Batch-compile systems in parallel against the persistent cache."""
-    import json
-
-    from .diagnostics import DiagnosticSink
     from .toolchain import run_batch
 
-    observer = get_observer()
-    if not observer.enabled:
-        observer = Observer()  # build always reports merged counters
+    observer = _observer()
     sink = DiagnosticSink()
     cache_dir = None if args.no_cache else args.cache_dir
     report = run_batch(
@@ -147,9 +171,7 @@ def cmd_build(args) -> int:
         observer=observer,
         sink=sink,
     )
-    text = sink.render(dedupe=True)
-    if text:
-        print(text, file=sys.stderr)
+    _print_diagnostics(sink)
     for b in report.builds:
         if b.ok:
             sha = (b.ir_sha256 or "")[:12]
@@ -227,9 +249,7 @@ def cmd_repo(args) -> int:
 
     if args.action == "mirror" and not (args.simulate_remote or args.fault):
         args.simulate_remote = True  # mirroring needs the resilience stack
-    observer = get_observer()
-    if not observer.enabled:
-        observer = Observer()
+    observer = _observer()
     with use_observer(observer):
         session = _session(args)
         repo = session.repository
@@ -251,7 +271,7 @@ def cmd_repo(args) -> int:
                 print("counters:")
                 for name, total in counters.items():
                     print(f"  {name:34s} {total}")
-            _print_diagnostics(session)
+            _print_diagnostics(session.sink)
             return 0
 
         if args.action == "mirror":
@@ -269,7 +289,7 @@ def cmd_repo(args) -> int:
                         total_bytes += s["bytes"]
                         stored += s["mirror_stores"]
                         roots.append(s["path"])
-            _print_diagnostics(session)
+            _print_diagnostics(session.sink)
             if not roots:
                 print(
                     "xpdl repo mirror: no offline mirror in the store stack "
@@ -297,7 +317,7 @@ def cmd_repo(args) -> int:
             except ResolutionError as exc:
                 permanent += 1
                 print(f"{ident}: not found: {exc}", file=sys.stderr)
-        _print_diagnostics(session)
+        _print_diagnostics(session.sink)
         print(
             f"checked {len(index)} descriptor(s): {ok} ok, "
             f"{transient} transient failure(s), {permanent} missing"
@@ -312,8 +332,6 @@ def cmd_repo(args) -> int:
 
 def cmd_doctor(args) -> int:
     """Cross-descriptor static analysis: the model doctor (Sec. V)."""
-    import json
-
     from .analysis import rule_catalog
     from .service.core import merged_doctor_report
 
@@ -346,12 +364,7 @@ def cmd_doctor(args) -> int:
 
     if args.format == "json":
         payload = json.dumps(merged.to_dict(), indent=1, sort_keys=True)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(payload + "\n")
-            print(f"wrote {args.output}")
-        else:
-            print(payload)
+        _write_or_print(args.output, payload + "\n")
     else:
         for f in sorted(
             merged.findings,
@@ -407,14 +420,12 @@ def cmd_fleet(args) -> int:
     from .runtime import xpdl_init_from_model
     from .simhw import testbed_from_model
 
-    if getattr(args, "fleet_cmd", None) == "sweep":
-        return cmd_fleet_sweep(args)
     if not args.model:
         print("xpdl: error: fleet requires --model", file=sys.stderr)
         return 2
     session = _session(args)
     result = session.emit_ir(args.model)
-    _print_diagnostics(session)
+    _print_diagnostics(session.sink)
     if session.sink.has_errors():
         return 1
     testbed = testbed_from_model(result.composed.root, name=args.model)
@@ -435,17 +446,18 @@ def cmd_fleet(args) -> int:
         state_catalog=catalog,
         request_ops=args.request_ops,
     )
+    _print_fleet_report(args, report)
+    return 0
+
+
+def _print_fleet_report(args, report) -> None:
+    """A fleet or sweep report in ``--format``, to ``-o FILE`` or stdout."""
     if args.format == "json":
         text = report.to_json()
     else:
         text = report.render_table() + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.output} [{report.digest()[:12]}]")
-    else:
-        print(text, end="")
-    return 0
+    note = args.output and f"wrote {args.output} [{report.digest()[:12]}]"
+    _write_or_print(args.output, text, note)
 
 
 def cmd_fleet_sweep(args) -> int:
@@ -457,8 +469,6 @@ def cmd_fleet_sweep(args) -> int:
     power-state catalog through the compiled query engine.  The report
     is byte-identical for any ``--jobs``.
     """
-    import json as _json
-
     from .fleet import GOVERNORS, index_state_catalog, parse_seeds, run_sweep
     from .runtime import xpdl_init_from_model
     from .simhw import testbed_from_model
@@ -467,7 +477,7 @@ def cmd_fleet_sweep(args) -> int:
     cache = None if args.no_cache else PersistentStageCache(args.cache_dir)
     session = ToolchainSession(_repository(args), disk_cache=cache)
     result = session.emit_ir(args.model)
-    _print_diagnostics(session)
+    _print_diagnostics(session.sink)
     if session.sink.has_errors():
         return 1
     testbed = testbed_from_model(result.composed.root, name=args.model)
@@ -488,7 +498,7 @@ def cmd_fleet_sweep(args) -> int:
     report, stats = run_sweep(
         testbed,
         policies=policies,
-        traces=_split(args.trace),
+        traces=_split(args.traces),
         seeds=parse_seeds(args.seeds),
         intervals=args.intervals,
         interval_s=args.interval_s,
@@ -497,19 +507,10 @@ def cmd_fleet_sweep(args) -> int:
         state_catalog=catalog,
         jobs=args.jobs,
     )
-    if args.format == "json":
-        text = report.to_json()
-    else:
-        text = report.render_table() + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.output} [{report.digest()[:12]}]")
-    else:
-        print(text, end="")
+    _print_fleet_report(args, report)
     if args.stats_out:
         with open(args.stats_out, "w", encoding="utf-8") as fh:
-            _json.dump(stats.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(stats.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(
             f"sweep stats: {stats.cells} cells, jobs={stats.jobs}, "
@@ -540,14 +541,12 @@ def _import_files(args) -> dict[str, str]:
 
 def cmd_import(args) -> int:
     """Import a foreign platform model (CESDM YAML/JSON or PDL subset)."""
-    import os as _os
-
     from .corpus import corpus_digest
 
     files = _import_files(args)
     for relpath, content in sorted(files.items()):
-        path = _os.path.join(args.directory, relpath)
-        _os.makedirs(_os.path.dirname(path), exist_ok=True)
+        path = os.path.join(args.directory, relpath)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(content)
     print(
@@ -563,7 +562,7 @@ def cmd_import(args) -> int:
     opts = opts.with_(include=(args.directory, *opts.include))
     session = ToolchainSession(build_repository(opts))
     merged = merged_doctor_report(session, None)
-    _print_diagnostics(session)
+    _print_diagnostics(session.sink)
     print(
         f"doctor: {merged.errors} error(s), {merged.warnings} warning(s) "
         f"over the imported tree"
@@ -573,17 +572,15 @@ def cmd_import(args) -> int:
 
 def cmd_export(args) -> int:
     """Export a descriptor tree as one CESDM YAML/JSON document."""
-    import os as _os
-
     from .corpus import export_cesdm
 
     files: dict[str, str] = {}
-    for dirpath, _dirnames, filenames in sorted(_os.walk(args.directory)):
+    for dirpath, _dirnames, filenames in sorted(os.walk(args.directory)):
         for fname in sorted(filenames):
             if not fname.endswith(".xpdl"):
                 continue
-            path = _os.path.join(dirpath, fname)
-            rel = _os.path.relpath(path, args.directory)
+            path = os.path.join(dirpath, fname)
+            rel = os.path.relpath(path, args.directory)
             with open(path, encoding="utf-8") as fh:
                 files[rel] = fh.read()
     if not files:
@@ -592,13 +589,11 @@ def cmd_export(args) -> int:
             file=sys.stderr,
         )
         return 2
-    text = export_cesdm(files, fmt=args.format)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"exported {len(files)} descriptor(s) -> {args.output}")
-    else:
-        print(text, end="")
+    _write_or_print(
+        args.output,
+        export_cesdm(files, fmt=args.format),
+        f"exported {len(files)} descriptor(s) -> {args.output}",
+    )
     return 0
 
 
@@ -657,7 +652,7 @@ def cmd_bootstrap(args) -> int:
         noise=args.noise,
         repetitions=args.repetitions,
     )
-    _print_diagnostics(session)
+    _print_diagnostics(session.sink)
     total = 0
     for machine_name, report in result.reports:
         for run in report.runs:
@@ -674,26 +669,14 @@ def cmd_bootstrap(args) -> int:
 def cmd_codegen_cpp(args) -> int:
     from .codegen import generate_cpp_header
 
-    text = generate_cpp_header(CORE_SCHEMA)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-        print(f"wrote {args.output}")
-    else:
-        print(text)
+    _write_or_print(args.output, generate_cpp_header(CORE_SCHEMA), end="\n")
     return 0
 
 
 def cmd_codegen_py(args) -> int:
     from .codegen import generate_python_api
 
-    text = generate_python_api(CORE_SCHEMA)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-        print(f"wrote {args.output}")
-    else:
-        print(text)
+    _write_or_print(args.output, generate_python_api(CORE_SCHEMA), end="\n")
     return 0
 
 
@@ -710,13 +693,7 @@ def cmd_uml(args) -> int:
 
 
 def cmd_schema(args) -> int:
-    text = schema_to_xml(CORE_SCHEMA)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-        print(f"wrote {args.output}")
-    else:
-        print(text)
+    _write_or_print(args.output, schema_to_xml(CORE_SCHEMA), end="\n")
     return 0
 
 
@@ -763,13 +740,7 @@ def cmd_to_json(args) -> int:
         model = session.compose(args.identifier).root
     else:
         model = session.load(args.identifier).model
-    text = model_to_json(model)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-        print(f"wrote {args.output}")
-    else:
-        print(text)
+    _write_or_print(args.output, model_to_json(model), end="\n")
     return 0
 
 
@@ -779,7 +750,7 @@ def cmd_control(args) -> int:
     session = _session(args)
     composed = session.compose(args.identifier)
     relations = infer_control_relation(composed.root, session.sink)
-    _print_diagnostics(session)
+    _print_diagnostics(session.sink)
     for rel in relations:
         src = "explicit" if rel.explicit else "inferred"
         print(f"scope {rel.scope} ({src}):")
@@ -808,9 +779,7 @@ def cmd_to_pdl(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    observer = get_observer()
-    if not observer.enabled:
-        observer = Observer()  # stats always observes, --trace or not
+    observer = _observer()
     with use_observer(observer):
         session = _session(args)
         identifiers = args.identifiers or list(PAPER_SYSTEMS)
@@ -824,7 +793,7 @@ def cmd_stats(args) -> int:
                     session.emit_ir(ident)  # full pipeline
                 else:
                     session.validate(ident)  # meta-models: load + validate
-    _print_diagnostics(session)
+    _print_diagnostics(session.sink)
 
     print(f"{'stage':28s} {'runs':>5s} {'total ms':>10s} {'mean ms':>10s}")
     for name in sorted(observer.stages):
@@ -856,11 +825,8 @@ def cmd_serve(args) -> int:
 
     from .service import ModelHost, run_server
 
-    observer = get_observer()
-    if not observer.enabled:
-        observer = Observer()  # /stats always carries data, --trace or not
     host = ModelHost(
-        observer=observer,
+        observer=_observer(),
         repo_options=RepositoryOptions.from_args(args),
         max_model_bytes=args.max_model_bytes,
         reload_ttl_s=args.reload_ttl,
@@ -916,6 +882,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Flags that several subcommands share, each declared once.
+    cache = argparse.ArgumentParser(add_help=False)
+    cache.add_argument(
+        "--cache-dir",
+        default=DEFAULT_CACHE_DIR,
+        metavar="DIR",
+        help="persistent cache of stage artifacts and runtime images "
+        f"(default: {DEFAULT_CACHE_DIR})",
+    )
+    cached = argparse.ArgumentParser(add_help=False, parents=[cache])
+    cached.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="disable the persistent cache for this run",
+    )
+    fleet_report = argparse.ArgumentParser(add_help=False)
+    fleet_report.add_argument(
+        "--interval-s",
+        type=float,
+        default=60.0,
+        metavar="SECONDS",
+        help="length of one interval (default 60)",
+    )
+    fleet_report.add_argument(
+        "--request-ops",
+        type=int,
+        default=200_000,
+        metavar="N",
+        help="instructions per request (default 200000)",
+    )
+    fleet_report.add_argument(
+        "--format",
+        choices=("table", "json"),
+        default="table",
+        help="report format (default: table)",
+    )
+    fleet_report.add_argument("-o", "--output", metavar="FILE")
+
     sub.add_parser("list", help="list repository descriptors").set_defaults(
         fn=cmd_list
     )
@@ -942,6 +946,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "build",
         help="batch-compile every system (or the given ones) in parallel",
+        parents=[cached],
     )
     p.add_argument(
         "identifiers",
@@ -956,17 +961,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="parallel worker processes (default: the CPUs available to "
         "this process — sched_getaffinity, falling back to cpu_count)",
-    )
-    p.add_argument(
-        "--cache-dir",
-        default=".xpdl-cache",
-        metavar="DIR",
-        help="persistent stage cache directory (default: .xpdl-cache)",
-    )
-    p.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the persistent stage cache for this build",
     )
     p.add_argument(
         "-o",
@@ -988,15 +982,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_build)
 
     p = sub.add_parser(
-        "cache", help="persistent stage cache maintenance"
+        "cache", help="persistent stage cache maintenance", parents=[cache]
     )
     p.add_argument("action", choices=("stats", "clear", "verify"))
-    p.add_argument(
-        "--cache-dir",
-        default=".xpdl-cache",
-        metavar="DIR",
-        help="persistent stage cache directory (default: .xpdl-cache)",
-    )
     p.set_defaults(fn=cmd_cache)
 
     p = sub.add_parser(
@@ -1071,6 +1059,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fleet",
         help="simulate a fleet under a load trace and compare DVFS "
         "governor policies (energy vs. SLO)",
+        parents=[fleet_report],
     )
     p.add_argument(
         "--model",
@@ -1100,34 +1089,13 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="simulated intervals; the diurnal period is 24 (default 72)",
     )
-    p.add_argument(
-        "--interval-s",
-        type=float,
-        default=60.0,
-        metavar="SECONDS",
-        help="length of one interval (default 60)",
-    )
-    p.add_argument(
-        "--request-ops",
-        type=int,
-        default=200_000,
-        metavar="N",
-        help="instructions per request (default 200000)",
-    )
-    p.add_argument(
-        "--format",
-        choices=("table", "json"),
-        default="table",
-        help="report format (default: table)",
-    )
-    p.add_argument("-o", "--output", metavar="FILE")
-    p.set_defaults(fn=cmd_fleet, fleet_cmd=None)
+    p.set_defaults(fn=cmd_fleet)
 
-    fleet_sub = p.add_subparsers(dest="fleet_cmd", metavar="COMMAND")
-    ps = fleet_sub.add_parser(
+    ps = p.add_subparsers(metavar="COMMAND").add_parser(
         "sweep",
         help="parallel (policy, trace, seed) grid sweep; workers reopen "
         "the model zero-copy from the image cache",
+        parents=[fleet_report, cached],
     )
     ps.add_argument(
         "--model",
@@ -1141,6 +1109,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ps.add_argument(
         "--trace",
+        dest="traces",
         default="diurnal",
         metavar="A,B,...",
         help="comma-separated trace families (default: diurnal)",
@@ -1169,46 +1138,12 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 24)",
     )
     ps.add_argument(
-        "--interval-s",
-        type=float,
-        default=60.0,
-        metavar="SECONDS",
-        help="length of one interval (default 60)",
-    )
-    ps.add_argument(
-        "--request-ops",
-        type=int,
-        default=200_000,
-        metavar="N",
-        help="instructions per request (default 200000)",
-    )
-    ps.add_argument(
-        "--cache-dir",
-        default=".xpdl-cache",
-        metavar="DIR",
-        help="persistent cache holding the runtime image workers reopen "
-        "(default: .xpdl-cache)",
-    )
-    ps.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="skip the image store; the catalog is built once in-process "
-        "and shipped to workers",
-    )
-    ps.add_argument(
-        "--format",
-        choices=("table", "json"),
-        default="table",
-        help="report format (default: table)",
-    )
-    ps.add_argument("-o", "--output", metavar="FILE")
-    ps.add_argument(
         "--stats-out",
         metavar="FILE",
         help="write run-shape stats (wall, jobs, merged counters) as "
         "JSON; kept out of the report so its digest is jobs-invariant",
     )
-    ps.set_defaults(fn=cmd_fleet, fleet_cmd="sweep")
+    ps.set_defaults(fn=cmd_fleet_sweep)
 
     p = sub.add_parser(
         "import",
@@ -1342,56 +1277,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(fn=cmd_stats)
 
-    serve_defaults = ServiceOptions()
     p = sub.add_parser(
         "serve",
         help="run the long-lived model service (HTTP/JSON daemon)",
+        parents=[cached],
     )
     p.add_argument(
         "--address",
-        default=serve_defaults.address,
-        help=f"bind address (default {serve_defaults.address})",
+        default=DEFAULT_ADDRESS,
+        help=f"bind address (default {DEFAULT_ADDRESS})",
     )
     p.add_argument(
         "--port",
         type=int,
-        default=serve_defaults.port,
-        help=f"listen port, 0 for ephemeral (default {serve_defaults.port})",
+        default=DEFAULT_PORT,
+        help=f"listen port, 0 for ephemeral (default {DEFAULT_PORT})",
     )
     p.add_argument(
         "--workers",
         type=int,
-        default=serve_defaults.workers,
+        default=DEFAULT_WORKERS,
         metavar="N",
-        help=f"request worker threads (default {serve_defaults.workers})",
+        help=f"request worker threads (default {DEFAULT_WORKERS})",
     )
     p.add_argument(
         "--max-model-bytes",
         type=int,
-        default=serve_defaults.max_model_bytes,
+        default=DEFAULT_MAX_MODEL_BYTES,
         metavar="BYTES",
-        help="hosted-model LRU byte budget "
-        f"(default {serve_defaults.max_model_bytes})",
+        help=f"hosted-model LRU byte budget (default {DEFAULT_MAX_MODEL_BYTES})",
     )
     p.add_argument(
         "--reload-ttl",
         type=float,
-        default=serve_defaults.reload_ttl_s,
+        default=DEFAULT_RELOAD_TTL_S,
         metavar="SECONDS",
         help="seconds a hosted model stays trusted before its source "
-        f"fingerprints are re-checked (default {serve_defaults.reload_ttl_s})",
-    )
-    p.add_argument(
-        "--cache-dir",
-        default=serve_defaults.cache_dir,
-        metavar="DIR",
-        help="persistent cache holding stage artifacts and mmap'd runtime "
-        f"images (default {serve_defaults.cache_dir})",
-    )
-    p.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the persistent cache (models are compiled in-process)",
+        f"fingerprints are re-checked (default {DEFAULT_RELOAD_TTL_S})",
     )
     p.set_defaults(fn=cmd_serve)
 

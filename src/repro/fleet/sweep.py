@@ -2,16 +2,16 @@
 
 The capacity-planning workload the fleet simulator exists for — compare
 every governor against several trace families over tens of seeds — is a
-grid of fully independent cells, so it shards across a
-:class:`~concurrent.futures.ProcessPoolExecutor` (worker budget from
-:func:`repro.toolchain.batch.default_jobs`, same in-process fallback for
-fork-restricted sandboxes).  Cells are dealt round-robin in policy-major
-order, so every worker runs a share of every governor (a race-to-idle
-cell costs two to three times another governor's).  Each worker
-reopens the hosted model *zero-copy* from the content-addressed image
-store (``.xpdl-cache/images/``): :func:`repro.runtime.xpdl_init` mmaps
-the XPDLRT02 image and adopts its persisted index sections
-(``index.load_mmap``, never ``index.rebuilds``), and
+grid of fully independent cells, so it shards across the process pool
+of :func:`repro.toolchain.batch.run_tasks`, the one ``xpdl build`` uses
+(worker budget from :func:`repro.toolchain.batch.default_jobs`, same
+in-process fallback for fork-restricted sandboxes).  Cells are dealt
+round-robin in policy-major order, so every worker runs a share of
+every governor (a race-to-idle cell costs two to three times another
+governor's).  Each worker reopens the hosted model *zero-copy* from
+the content-addressed image store (``.xpdl-cache/images/``):
+:func:`repro.runtime.xpdl_init` mmaps the XPDLRT02 image and adopts its
+persisted index sections (``index.load_mmap``, never ``index.rebuilds``), and
 :func:`~repro.fleet.simulator.index_state_catalog` is built exactly once
 per worker (``fleet.catalog_builds``) and shared by every cell the worker
 runs — no recomposition, no re-indexing, no per-cell catalog walks.
@@ -29,7 +29,6 @@ is deliberately outside the digest.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
@@ -368,29 +367,6 @@ def _deal_cells(
     return shards
 
 
-def _run_tasks(tasks: list[_SweepTask], merged: Observer) -> list[_WorkerOut]:
-    """Run every task, in a process pool when there is more than one.
-
-    Only a failure to create the pool or to submit to it (a
-    fork-restricted sandbox) degrades to in-process execution, counted as
-    ``fleet.sweep.pool_fallback``: same cells, same report bytes.  An
-    exception a worker raises propagates once, unchanged.
-    """
-    if len(tasks) == 1:
-        return [_run_sweep_cells(tasks[0])]
-    pool: ProcessPoolExecutor | None = None
-    try:
-        pool = ProcessPoolExecutor(max_workers=len(tasks))
-        futures = [pool.submit(_run_sweep_cells, task) for task in tasks]
-    except (OSError, RuntimeError):
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-        merged.count("fleet.sweep.pool_fallback")
-        return [_run_sweep_cells(task) for task in tasks]
-    with pool:
-        return [future.result() for future in futures]
-
-
 def run_sweep(
     testbed: SimTestbed,
     *,
@@ -421,7 +397,7 @@ def run_sweep(
     recorded as ``fleet.sweep.pool_fallback``; an error raised in a
     worker propagates unchanged.
     """
-    from ..toolchain.batch import default_jobs
+    from ..toolchain.batch import default_jobs, run_tasks
 
     policy_list = tuple(dict.fromkeys(policies))
     if not policy_list:
@@ -477,7 +453,11 @@ def run_sweep(
 
     merged = Observer()
     t0 = time.perf_counter()
-    outs = _run_tasks(tasks, merged)
+    outs = run_tasks(
+        _run_sweep_cells,
+        tasks,
+        lambda _exc: merged.count("fleet.sweep.pool_fallback"),
+    )
     wall_s = time.perf_counter() - t0
 
     results: list[PolicyResult | None] = [None] * len(cells)

@@ -103,6 +103,11 @@ class PowerStateMachineModel:
         self.power_domain = power_domain
         self.states = {s.name: s for s in states}
         self.order = [s.name for s in states]
+        # States never change after construction: rank them once.
+        self._by_frequency = tuple(
+            sorted(self.states.values(), key=lambda s: s.frequency.magnitude)
+        )
+        self._idle = min(self.states.values(), key=lambda s: s.power.magnitude)
         self.transitions: dict[tuple[str, str], TransitionDef] = {}
         for t in transitions:
             if t.head not in self.states or t.tail not in self.states:
@@ -158,9 +163,9 @@ class PowerStateMachineModel:
     def state_names(self) -> list[str]:
         return list(self.order)
 
-    def by_frequency(self) -> list[PowerStateDef]:
-        """States sorted by ascending frequency."""
-        return sorted(self.states.values(), key=lambda s: s.frequency.magnitude)
+    def by_frequency(self) -> tuple[PowerStateDef, ...]:
+        """States sorted by ascending frequency (ties in declaration order)."""
+        return self._by_frequency
 
     def fastest(self) -> PowerStateDef:
         return self.by_frequency()[-1]
@@ -172,8 +177,9 @@ class PowerStateMachineModel:
         return running[0]
 
     def idle_state(self) -> PowerStateDef:
-        """The lowest-power state (sleep state if one is modeled)."""
-        return min(self.states.values(), key=lambda s: s.power.magnitude)
+        """The lowest-power state (sleep state if one is modeled; the first
+        declared of equal-power states)."""
+        return self._idle
 
     def is_complete(self) -> bool:
         """True when every ordered state pair has a direct transition."""

@@ -44,7 +44,7 @@ from ..diagnostics import ResolutionError, TransientFetchError
 from ..obs import get_observer
 from .faultsim import LISTING_PATH, FaultPlan
 
-try:  # advisory locking is POSIX-only; the mirror degrades gracefully
+try:  # advisory locking is POSIX-only; index merges degrade gracefully
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
@@ -53,6 +53,41 @@ XPDL_SUFFIX = ".xpdl"
 
 #: Default offline-mirror root, next to the persistent stage cache.
 DEFAULT_MIRROR_DIR = os.path.join(".xpdl-cache", "mirror")
+
+
+def atomic_write(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path`` via a same-directory temp file and
+    :func:`os.replace`, so a reader never observes a half-written file."""
+    directory = os.path.dirname(path)
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+@contextmanager
+def index_lock(root: str) -> Iterator[None]:
+    """Serialize read-merge-write index updates under ``root`` between
+    processes: an advisory ``fcntl`` lock on ``root/.lock`` where
+    available, no lock elsewhere."""
+    if fcntl is None:
+        yield
+        return
+    os.makedirs(root, exist_ok=True)
+    with open(os.path.join(root, ".lock"), "a+") as fh:
+        fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
+        try:
+            yield
+        finally:
+            fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
 
 
 @dataclass(slots=True)
@@ -424,16 +459,15 @@ class MirrorIndex:
         <root>/index.json            # path -> {sha256, size}, version-stamped
         <root>/objects/ab/<sha>.xpdl # content-addressed descriptor texts
 
-    Blobs and the index are written atomically (same-directory temp file +
-    ``os.replace``); index merges are serialized by an advisory ``fcntl``
-    lock where available.  Corrupt or version-mismatched indexes read as
-    empty — the mirror rebuilds on the next successful fetch.
+    Blobs and the index are written with :func:`atomic_write`; index
+    merges are serialized by :func:`index_lock`.  Corrupt or
+    version-mismatched indexes read as empty — the mirror rebuilds on the
+    next successful fetch.
     """
 
     VERSION = 1
     INDEX_NAME = "index.json"
     OBJECTS_DIR = "objects"
-    LOCK_NAME = ".lock"
 
     def __init__(self, root: str) -> None:
         self.root = os.path.abspath(root)
@@ -449,36 +483,6 @@ class MirrorIndex:
             self.root, self.OBJECTS_DIR, sha256[:2], f"{sha256}{XPDL_SUFFIX}"
         )
 
-    # -- atomic I/O ----------------------------------------------------------
-    @staticmethod
-    def _atomic_write(path: str, data: bytes) -> None:
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    @contextmanager
-    def _lock(self) -> Iterator[None]:
-        if fcntl is None:
-            yield
-            return
-        os.makedirs(self.root, exist_ok=True)
-        with open(os.path.join(self.root, self.LOCK_NAME), "a+") as fh:
-            fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-            try:
-                yield
-            finally:
-                fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
-
     # -- index ---------------------------------------------------------------
     def _read_index(self) -> dict[str, dict[str, Any]]:
         try:
@@ -493,7 +497,7 @@ class MirrorIndex:
 
     def _write_index(self, entries: dict[str, dict[str, Any]]) -> None:
         payload = {"version": self.VERSION, "entries": dict(sorted(entries.items()))}
-        self._atomic_write(
+        atomic_write(
             self.index_path,
             json.dumps(payload, indent=1, sort_keys=True).encode("utf-8"),
         )
@@ -535,8 +539,8 @@ class MirrorIndex:
             return False
         blob = self._blob_path(sha)
         if not os.path.exists(blob):
-            self._atomic_write(blob, data)
-        with self._lock():
+            atomic_write(blob, data)
+        with index_lock(self.root):
             merged = self._read_index()
             merged[path] = {"sha256": sha, "size": len(data)}
             self._write_index(merged)

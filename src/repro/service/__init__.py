@@ -26,7 +26,6 @@ from .core import (
 from .http import XpdlHttpServer, run_server
 from .options import (
     RepositoryOptions,
-    ServiceOptions,
     build_repository,
     repository_parent_parser,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "ServiceClient",
     "ServiceClientError",
     "ServiceError",
-    "ServiceOptions",
     "XpdlHttpServer",
     "build_repository",
     "format_info",

@@ -1,8 +1,8 @@
 """A small blocking client for the model service (stdlib ``urllib``).
 
-Used by the tests and the CI ``serve-smoke`` job; applications embedding
-the service in-process should talk to :class:`~repro.service.core.ModelHost`
-directly instead.
+Used by the tests (which also drive an ``xpdl serve`` process with it);
+applications embedding the service in-process should talk to
+:class:`~repro.service.core.ModelHost` directly instead.
 """
 
 from __future__ import annotations

@@ -5,10 +5,11 @@ queried in operation" — optimizers and schedulers interrogating the
 platform description continuously): everything the one-shot CLI rebuilt
 per process — repository index, parsed descriptors, compositions,
 compiled :class:`~repro.runtime.index.IRIndex` es, path-plan LRUs — is
-owned once by a :class:`ModelHost` and reused across requests.  Both the
-``xpdl`` CLI and the ``xpdl serve`` daemon drive their pipelines through
-this class; the daemon merely puts an HTTP/JSON front on
-:meth:`ModelHost.handle`.
+owned once by a :class:`ModelHost` and reused across requests.  The
+``xpdl serve`` daemon puts an HTTP/JSON front on :meth:`ModelHost.handle`;
+the one-shot ``xpdl`` commands whose output a host op also returns
+(``list``, ``query``, ``info``, ``doctor``) render through the payload
+builders below, so both print the same bytes.
 
 Design points:
 
@@ -58,6 +59,7 @@ from contextlib import contextmanager
 from ..diagnostics import QueryError, XpdlError
 from ..ir import IRModel
 from ..obs import Observer, use_observer
+from ..repository import ModelRepository
 from ..runtime import QueryContext, query_all, xpdl_init_from_model
 from ..toolchain import EmitResult, ToolchainSession
 from ..toolchain.diskcache import open_cache
@@ -191,6 +193,20 @@ def run_analyses(ctx: QueryContext, names: tuple[str, ...]) -> dict[str, Any]:
         else:
             raise ServiceError(f"unknown analysis {name!r}", status=400)
     return out
+
+
+def models_payload(repository: ModelRepository) -> dict[str, Any]:
+    """The repository index rows (``xpdl list``, the ``models`` op)."""
+    rows = [
+        {
+            "identifier": ident,
+            "root_tag": entry.root_tag,
+            "store": entry.store.url,
+            "path": entry.path,
+        }
+        for ident, entry in sorted(repository.index().items())
+    ]
+    return {"count": len(rows), "models": rows}
 
 
 def merged_doctor_report(
@@ -533,17 +549,7 @@ class ModelHost:
 
     def _op_models(self, request: Mapping[str, Any]) -> dict[str, Any]:
         with self._lock, use_observer(self.observer):
-            index = self.repository.index()
-            rows = [
-                {
-                    "identifier": ident,
-                    "root_tag": entry.root_tag,
-                    "store": entry.store.url,
-                    "path": entry.path,
-                }
-                for ident, entry in sorted(index.items())
-            ]
-        return {"count": len(rows), "models": rows}
+            return models_payload(self.repository)
 
     def _op_batch(self, request: Mapping[str, Any]) -> dict[str, Any]:
         requests = self._require(request, "requests")

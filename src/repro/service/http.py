@@ -37,6 +37,11 @@ from typing import Any, Mapping
 
 from .core import ModelHost
 
+#: Default listen address, port and request worker threads of ``xpdl serve``.
+DEFAULT_ADDRESS = "127.0.0.1"
+DEFAULT_PORT = 8790
+DEFAULT_WORKERS = 4
+
 #: Request body ceiling — far above any legitimate batch, far below abuse.
 MAX_BODY_BYTES = 8 * 1024 * 1024
 #: Header-section ceiling per request.
@@ -73,9 +78,9 @@ class XpdlHttpServer:
         self,
         host: ModelHost,
         *,
-        address: str = "127.0.0.1",
-        port: int = 8790,
-        workers: int = 4,
+        address: str = DEFAULT_ADDRESS,
+        port: int = DEFAULT_PORT,
+        workers: int = DEFAULT_WORKERS,
     ) -> None:
         self.host = host
         self.address = address
@@ -88,8 +93,8 @@ class XpdlHttpServer:
     async def start(self) -> tuple[str, int]:
         """Bind and start accepting; returns the bound (address, port).
 
-        Passing ``port=0`` binds an ephemeral port — tests and the smoke
-        job use that to avoid collisions.
+        Passing ``port=0`` binds an ephemeral port — tests and the
+        benchmark use that to avoid collisions.
         """
         self._server = await asyncio.start_server(
             self._serve_client, self.address, self.port
@@ -254,9 +259,9 @@ async def _write_response(
 async def run_server(
     host: ModelHost,
     *,
-    address: str = "127.0.0.1",
-    port: int = 8790,
-    workers: int = 4,
+    address: str = DEFAULT_ADDRESS,
+    port: int = DEFAULT_PORT,
+    workers: int = DEFAULT_WORKERS,
     ready: "asyncio.Event | None" = None,
     stop: "asyncio.Event | None" = None,
     announce=None,

@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import argparse
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
-from ..repository import ModelRepository
+from ..repository import DEFAULT_MIRROR_DIR, ModelRepository
 
 DEFAULT_RETRY_ATTEMPTS = 3
-DEFAULT_MIRROR_DIR = os.path.join(".xpdl-cache", "mirror")
 
 
 @dataclass(frozen=True)
@@ -155,17 +154,3 @@ def build_repository(options: RepositoryOptions | None = None) -> ModelRepositor
         )
     return ModelRepository(stores)
 
-
-@dataclass(frozen=True)
-class ServiceOptions:
-    """Daemon-side knobs of the model service (``xpdl serve``)."""
-
-    address: str = "127.0.0.1"
-    port: int = 8790
-    max_model_bytes: int = 256 * 1024 * 1024
-    reload_ttl_s: float = 0.25
-    workers: int = 4
-    #: Persistent cache root holding stage artifacts and v2 runtime
-    #: images (mmap'd on model open); None disables disk caching.
-    cache_dir: str | None = ".xpdl-cache"
-    repository: RepositoryOptions = field(default_factory=RepositoryOptions)

@@ -37,7 +37,7 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence, TypeVar
 
 from ..diagnostics import Diagnostic, DiagnosticSink, SourceSpan, XpdlError
 from ..obs import Observer, get_observer
@@ -59,6 +59,39 @@ def default_jobs() -> int:
         return len(os.sched_getaffinity(0)) or 1
     except (AttributeError, OSError):  # non-Linux, or restricted sandbox
         return os.cpu_count() or 1
+
+
+_Task = TypeVar("_Task")
+_Result = TypeVar("_Result")
+
+
+def run_tasks(
+    fn: Callable[[_Task], _Result],
+    tasks: Sequence[_Task],
+    on_fallback: Callable[[BaseException], None],
+) -> list[_Result]:
+    """``[fn(task) for task in tasks]``, one pool worker per task.
+
+    ``fn`` must be a module-level function so the process pool can pickle
+    it; a single task runs in-process.  Only a failure to create the pool
+    or to submit to it (a fork-restricted sandbox) runs every task
+    in-process instead, after ``on_fallback(exc)``.  An exception a worker
+    raises, ``BrokenProcessPool`` from a dead worker included, propagates
+    once, unchanged.
+    """
+    if len(tasks) <= 1:
+        return [fn(task) for task in tasks]
+    pool: ProcessPoolExecutor | None = None
+    try:
+        pool = ProcessPoolExecutor(max_workers=len(tasks))
+        futures = [pool.submit(fn, task) for task in tasks]
+    except (OSError, RuntimeError) as exc:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+        on_fallback(exc)
+        return [fn(task) for task in tasks]
+    with pool:
+        return [future.result() for future in futures]
 
 
 def discover_systems(
@@ -368,22 +401,14 @@ def run_batch(
         for i, shard in enumerate(plan.shards)
     ]
 
-    reports: list[WorkerReport]
-    if jobs == 1 or len(tasks) <= 1:
-        reports = [_run_worker(task) for task in tasks]
-    else:
-        try:
-            with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-                reports = list(pool.map(_run_worker, tasks))
-        except (OSError, RuntimeError) as exc:
-            # Sandboxes and restricted environments may forbid forking;
-            # a batch build degrades to in-process rather than failing.
-            sink.warning(
-                "XPDL0402",
-                f"process pool unavailable ({exc}); building in-process",
-                SourceSpan.unknown("batch"),
-            )
-            reports = [_run_worker(task) for task in tasks]
+    def pool_unavailable(exc: BaseException) -> None:
+        sink.warning(
+            "XPDL0402",
+            f"process pool unavailable ({exc}); building in-process",
+            SourceSpan.unknown("batch"),
+        )
+
+    reports = run_tasks(_run_worker, tasks, pool_unavailable)
     wall_s = time.perf_counter() - t0
 
     builds: list[SystemBuild] = []

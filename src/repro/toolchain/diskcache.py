@@ -40,18 +40,12 @@ import json
 import os
 import pickle
 import shutil
-import tempfile
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from ..ir.image import verify_image
 from ..obs import get_observer
-
-try:  # advisory locking is POSIX-only; the cache degrades gracefully
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None  # type: ignore[assignment]
+from ..repository.store import atomic_write, index_lock
 
 #: What a truncated/garbled/foreign pickle blob actually raises.  Bare
 #: ``Exception`` here used to swallow real bugs (a KeyboardInterrupt-adjacent
@@ -85,7 +79,6 @@ PICKLE_PROTOCOL = 4
 INDEX_NAME = "index.json"
 OBJECTS_DIR = "objects"
 IMAGES_DIR = "images"
-LOCK_NAME = ".lock"
 
 DEFAULT_CACHE_DIR = ".xpdl-cache"
 
@@ -165,20 +158,6 @@ class PersistentStageCache:
         return os.path.join(self.images_root, key[:2], f"{key}.xir")
 
     # -- index I/O ---------------------------------------------------------
-    @contextmanager
-    def _index_lock(self) -> Iterator[None]:
-        """Serialize read-merge-write index updates between processes."""
-        if fcntl is None:
-            yield
-            return
-        os.makedirs(self.root, exist_ok=True)
-        with open(os.path.join(self.root, LOCK_NAME), "a+") as fh:
-            fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-            try:
-                yield
-            finally:
-                fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
-
     def _read_index(self) -> dict[str, DiskEntry]:
         """Parse the on-disk index; any defect reads as an empty cache."""
         try:
@@ -207,27 +186,10 @@ class PersistentStageCache:
             "pickle_protocol": PICKLE_PROTOCOL,
             "entries": {k: e.to_json() for k, e in sorted(entries.items())},
         }
-        self._atomic_write(
+        atomic_write(
             self.index_path,
             json.dumps(payload, indent=1, sort_keys=True).encode("utf-8"),
         )
-
-    @staticmethod
-    def _atomic_write(path: str, data: bytes) -> None:
-        """Write ``data`` to ``path`` via a same-directory temp + replace."""
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
 
     def entries(self, *, refresh: bool = False) -> dict[str, DiskEntry]:
         """The index, loaded lazily once per cache object."""
@@ -286,7 +248,7 @@ class PersistentStageCache:
         blob = f"{digest[:2]}/{digest}.bin"
         path = self._blob_path(blob)
         if not os.path.exists(path):
-            self._atomic_write(path, data)
+            atomic_write(path, data)
         entry = DiskEntry(
             key=entry_key(stage, identifier, options),
             stage=stage,
@@ -298,7 +260,7 @@ class PersistentStageCache:
             size=len(data),
             sha256=digest,
         )
-        with self._index_lock():
+        with index_lock(self.root):
             merged = self._read_index()
             merged[entry.key] = entry
             self._write_index(merged)
@@ -316,7 +278,7 @@ class PersistentStageCache:
         key = hashlib.sha256(data).hexdigest()
         path = self.image_path(key)
         if not os.path.exists(path):
-            self._atomic_write(path, data)
+            atomic_write(path, data)
             get_observer().count("cache.image_stores")
         return key
 
@@ -361,7 +323,7 @@ class PersistentStageCache:
 
     def clear(self) -> int:
         """Drop every entry, blob and image; returns the number removed."""
-        with self._index_lock():
+        with index_lock(self.root):
             n = len(self._read_index()) + len(self._image_files())
             shutil.rmtree(self.objects_root, ignore_errors=True)
             shutil.rmtree(self.images_root, ignore_errors=True)
@@ -415,7 +377,7 @@ class PersistentStageCache:
             "pickle_protocol": PICKLE_PROTOCOL,
             "entries": {k: e.to_json() for k, e in entries.items()},
         }
-        self._atomic_write(
+        atomic_write(
             self.index_path, json.dumps(payload).encode("utf-8")
         )
         self._entries = None

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import json
 import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.cli import main
 from repro.diagnostics import DiagnosticSink, XpdlError
 from repro.modellib import standard_repository
 from repro.obs import Observer
+from repro.toolchain import batch as batch_module
 from repro.toolchain import discover_systems, plan_shards, run_batch
 
 
@@ -133,6 +135,38 @@ class TestBatchBuild:
         assert data["ok"] is True
         assert len(data["builds"]) == len(report.builds)
         assert data["hit_rate"] == round(report.hit_rate, 4)
+
+
+def _exit_in_worker(task):
+    """Stands in for ``_run_worker``: the pool worker running it dies
+    (as an out-of-memory kill would); in the parent it refuses to run."""
+    if str(os.getpid()) != os.environ["BATCH_TEST_PARENT_PID"]:
+        os._exit(1)
+    raise AssertionError(f"shard {task.shard_index} rebuilt in the parent")
+
+
+class TestPoolFailures:
+    def test_dead_worker_propagates_without_rebuild(self, monkeypatch):
+        monkeypatch.setenv("BATCH_TEST_PARENT_PID", str(os.getpid()))
+        monkeypatch.setattr(batch_module, "_run_worker", _exit_in_worker)
+        sink = DiagnosticSink()
+        with pytest.raises(BrokenProcessPool):
+            run_batch(standard_repository(), jobs=2, cache_dir=None, sink=sink)
+        assert not [d for d in sink if d.code == "XPDL0402"]
+
+    def test_pool_creation_failure_builds_in_process(self, monkeypatch):
+        def no_pool(max_workers):
+            raise OSError("no semaphores here")
+
+        monkeypatch.setattr(batch_module, "ProcessPoolExecutor", no_pool)
+        sink = DiagnosticSink()
+        report = run_batch(standard_repository(), jobs=2, cache_dir=None, sink=sink)
+        assert report.ok and len(report.shards) == 2
+        assert [d.code for d in sink if d.code == "XPDL0402"] == ["XPDL0402"]
+        serial = run_batch(standard_repository(), jobs=1, cache_dir=None)
+        assert [b.ir_sha256 for b in report.builds] == [
+            b.ir_sha256 for b in serial.builds
+        ]
 
 
 class TestBuildCli:

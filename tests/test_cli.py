@@ -1,10 +1,13 @@
 """Tests for the xpdl CLI toolchain."""
 
+import hashlib
+import json
 import os
 
 import pytest
 
 from repro.cli import main
+from repro.modellib import data_dir
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -193,6 +196,12 @@ class TestRepoResilience:
         assert "descriptor(s)" in out
 
         out_file = str(tmp_path / "liu.xir")
+        # With the remote dead, the warm mirror answers every fetch.
+        code, out, err = run_cli(
+            capsys, "--fault", "dead", "--mirror-dir", mirror, "repo", "check"
+        )
+        assert code == 0, err
+
         code, out, err = run_cli(
             capsys,
             "--fault",
@@ -207,6 +216,11 @@ class TestRepoResilience:
         assert code == 0, err
         assert os.path.exists(out_file)
         assert "XPDL0204" in err  # mirror degradation surfaced, loudly
+        clean_file = str(tmp_path / "clean.xir")
+        code, _, _ = run_cli(capsys, "compose", "liu_gpu_server", "-o", clean_file)
+        assert code == 0
+        with open(out_file, "rb") as f1, open(clean_file, "rb") as f2:
+            assert f1.read() == f2.read()
 
     def test_repo_mirror_without_mirror_layer_fails(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -263,7 +277,111 @@ class TestRepoResilience:
         with open(clean, "rb") as f1, open(faulty, "rb") as f2:
             assert f1.read() == f2.read()
 
+    def test_fault_injected_parallel_build_matches_clean(self, capsys, tmp_path):
+        """Every path fails twice; the pool workers get the fault plan,
+        retry through it and emit the clean build's IR."""
+        reports = {}
+        for name, flags in (
+            ("clean", []),
+            ("fault", ["--fault", "fail:2", "--retry-attempts", "3"]),
+        ):
+            report = tmp_path / f"{name}.json"
+            code, _, err = run_cli(
+                capsys,
+                *flags,
+                "--mirror-dir",
+                str(tmp_path / "mirror"),
+                "build",
+                "--jobs",
+                "2",
+                "--no-cache",
+                "--json",
+                str(report),
+            )
+            assert code == 0, err
+            reports[name] = json.loads(report.read_text())
+        clean, fault = reports["clean"], reports["fault"]
+        assert clean["ok"] and fault["ok"]
+        assert len(fault["shards"]) == 2
+        assert {b["identifier"]: b["ir_sha256"] for b in fault["builds"]} == {
+            b["identifier"]: b["ir_sha256"] for b in clean["builds"]
+        }
+        assert not [d for d in fault["diagnostics"] if "error:" in d]
+
+    def test_doctor_clean_through_fault_schedule(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys,
+            "--fault",
+            "fail:2",
+            "--retry-attempts",
+            "3",
+            "--mirror-dir",
+            str(tmp_path / "mirror"),
+            "doctor",
+        )
+        assert code == 0, err
+
     def test_bad_fault_spec_rejected(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "--fault", "bogus", "repo", "stats")
         assert code == 2
         assert "bad fault schedule" in err
+
+
+def _wrote_note(out: str, written: str) -> str:
+    return f"wrote {out}"
+
+
+def _digest_note(out: str, written: str) -> str:
+    digest = hashlib.sha256(written.encode("utf-8")).hexdigest()
+    return f"wrote {out} [{digest[:12]}]"
+
+
+def _export_note(out: str, written: str) -> str:
+    count = sum(
+        name.endswith(".xpdl")
+        for _dir, _subdirs, names in os.walk(data_dir())
+        for name in names
+    )
+    return f"exported {count} descriptor(s) -> {out}"
+
+
+#: The commands that write their text to ``-o FILE`` or print it: argv,
+#: the note printed with ``-o``, and whether stdout ends the text with
+#: one more newline than the file.
+WRITE_OR_PRINT = [
+    pytest.param(["doctor", "--format", "json"], _wrote_note, False, id="doctor"),
+    pytest.param(
+        ["fleet", "--model", "liu_gpu_server", "--intervals", "6", "--format", "json"],
+        _digest_note,
+        False,
+        id="fleet",
+    ),
+    pytest.param(
+        ["fleet", "sweep", "--model", "liu_gpu_server", "--intervals", "4"]
+        + ["--jobs", "1", "--no-cache", "--format", "json"],
+        _digest_note,
+        False,
+        id="fleet-sweep",
+    ),
+    pytest.param(["export", data_dir()], _export_note, False, id="export"),
+    pytest.param(["codegen-cpp"], _wrote_note, True, id="codegen-cpp"),
+    pytest.param(["codegen-py"], _wrote_note, True, id="codegen-py"),
+    pytest.param(["schema"], _wrote_note, True, id="schema"),
+    pytest.param(["to-json", "liu_gpu_server"], _wrote_note, True, id="to-json"),
+]
+
+
+class TestWriteOrPrint:
+    @pytest.mark.parametrize("argv,note,newline", WRITE_OR_PRINT)
+    def test_file_holds_what_stdout_shows(
+        self, capsys, tmp_path, argv, note, newline
+    ):
+        code, printed, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        out = str(tmp_path / "out")
+        code, noted, err = run_cli(capsys, *argv, "-o", out)
+        assert code == 0, err
+        with open(out, encoding="utf-8") as fh:
+            written = fh.read()
+        assert printed == written + ("\n" if newline else "")
+        assert noted == note(out, written) + "\n"

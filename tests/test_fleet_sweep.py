@@ -33,8 +33,8 @@ from repro.fleet import (
     run_sweep,
     simulate_fleet,
 )
-from repro.fleet import sweep as sweep_module
 from repro.obs import Observer, use_observer
+from repro.toolchain import batch as batch_module
 from repro.units import TIME, Quantity
 from tests.fleet_oracle import CursorFleetSimulator, simulate_fleet_cursor
 from tests.test_fleet import POLICIES, _toy_psm, _toy_testbed, _toy_trace
@@ -522,7 +522,7 @@ class _InlinePool:
 def _install_pool(monkeypatch, worker_error=None) -> list:
     tasks: list = []
     monkeypatch.setattr(
-        sweep_module,
+        batch_module,
         "ProcessPoolExecutor",
         lambda max_workers: _InlinePool(tasks, worker_error),
     )
@@ -584,7 +584,7 @@ class TestPoolFailures:
         def no_pool(max_workers):
             raise OSError("no semaphores here")
 
-        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(batch_module, "ProcessPoolExecutor", no_pool)
         bed = _toy_testbed(n=2)
         report, stats = run_sweep(bed, jobs=2, **_GRID)
         assert stats.counters["fleet.sweep.pool_fallback"] == 1
@@ -641,3 +641,32 @@ class TestGeneratedClusterSweep:
             assert c["fleet.catalog_builds"] == stats["workers"], c
             assert c["fleet.sweep.cells"] == 8, c
         assert reports[1] == reports[2]
+
+
+class TestSweepTraceFlag:
+    """``fleet sweep --trace`` names trace families; only the global
+    ``xpdl --trace`` streams the observer's events to stderr."""
+
+    @pytest.mark.parametrize(
+        "global_trace,families,expected",
+        [
+            (False, None, ["diurnal"]),
+            (False, "diurnal,step", ["diurnal", "step"]),
+            (True, "diurnal,step", ["diurnal", "step"]),
+        ],
+    )
+    def test_families_do_not_turn_on_tracing(
+        self, capsys, global_trace, families, expected
+    ):
+        from tests.test_cli import run_cli
+
+        argv = ["--trace"] if global_trace else []
+        argv += ["fleet", "sweep", "--model", "liu_gpu_server", "--intervals", "4"]
+        argv += ["--seeds", "1", "--jobs", "1", "--no-cache", "--format", "json"]
+        if families:
+            argv += ["--trace", families]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert json.loads(out)["traces"] == expected
+        events = [line for line in err.splitlines() if '"event"' in line]
+        assert bool(events) == global_trace, events[:3]

@@ -93,6 +93,23 @@ class TestQueries:
         assert psm.slowest_running().name == "P1"
         assert psm.idle_state().name == "P1"
 
+    def test_rankings_keep_declaration_order_on_ties(self):
+        states = [
+            PowerStateDef("A", q(2, "GHz"), q(5, "W")),
+            PowerStateDef("B", q(1, "GHz"), q(3, "W")),
+            PowerStateDef("C", q(2, "GHz"), q(3, "W")),
+            PowerStateDef("D", q(1, "GHz"), q(4, "W")),
+        ]
+        psm = PowerStateMachineModel("ties", states, [])
+        ranked = psm.by_frequency()
+        assert [s.name for s in ranked] == ["B", "D", "A", "C"]
+        assert psm.idle_state().name == "B"
+        # The ranking is computed once, so callers cannot reorder it.
+        with pytest.raises(TypeError):
+            ranked[0] = ranked[-1]
+        assert psm.by_frequency() == ranked
+        assert psm.fastest().name == "C"
+
     def test_unknown_state_message(self):
         with pytest.raises(XpdlError) as exc:
             make_psm().state("P9")

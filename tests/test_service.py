@@ -397,6 +397,17 @@ class TestCliEquivalence:
         assert json.dumps(body, indent=1, sort_keys=True) + "\n" == cli_out
         assert code in (0, 1)  # findings decide the CLI's exit code
 
+    def test_list_prints_the_models_op_rows(self, capsys):
+        code, cli_out = self.run_cli(capsys, "list")
+        assert code == 0
+        _, body = ModelHost(reload_ttl_s=0.0).handle({"op": "models"})
+        rows = [
+            f"{m['identifier']:32s} <{m['root_tag']}>  {m['store']}{m['path']}\n"
+            for m in body["models"]
+        ]
+        assert body["count"] == len(rows) > 0
+        assert "".join(rows) == cli_out
+
     def test_info_payload_helper_is_what_the_op_returns(self):
         host, _ = make_host()
         with host.lease("SynthSys") as entry:

@@ -5,17 +5,26 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import json
+import os
+import queue
+import re
+import signal
 import socket
+import subprocess
+import sys
 import threading
 
 import pytest
 
+import repro
+from repro.cli import main
 from repro.repository import MemoryStore, ModelRepository
 from repro.service import (
     ModelHost,
     ServiceClient,
     ServiceClientError,
     XpdlHttpServer,
+    format_query_results,
 )
 
 CPU = (
@@ -230,3 +239,53 @@ class TestConcurrentClients:
         assert headers[b"Content-Type"] == b"application/json"
         assert int(headers[b"Content-Length"]) == len(body)
         json.loads(body)
+
+
+class TestServeProcess:
+    """``xpdl serve --port 0`` as its own process: the listen line, a
+    query answered like ``xpdl query``, and a clean SIGTERM shutdown."""
+
+    def test_listen_query_and_sigterm(self, capsys, tmp_path):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        argv = ["serve", "--port", "0", "--cache-dir", str(tmp_path / "cache")]
+        with open(tmp_path / "serve.err", "w") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", *argv],
+                cwd=tmp_path,
+                env=dict(os.environ, PYTHONPATH=src),
+                stdout=subprocess.PIPE,
+                stderr=err,
+                text=True,
+            )
+        lines: queue.Queue = queue.Queue()
+        reader = threading.Thread(
+            target=lambda: [lines.put(line) for line in proc.stdout], daemon=True
+        )
+        reader.start()
+        try:
+            listen = lines.get(timeout=60)
+            match = re.fullmatch(
+                r"xpdl serve: listening on http://127\.0\.0\.1:(\d+)\n", listen
+            )
+            assert match, listen
+            path = "//cache[@name='L3']"
+            body = ServiceClient("127.0.0.1", int(match.group(1))).query(
+                "liu_gpu_server", path
+            )
+            xir = str(tmp_path / "liu.xir")
+            assert main(["compose", "liu_gpu_server", "-o", xir]) == 0
+            capsys.readouterr()
+            assert main(["query", xir, path]) == 0
+            printed = capsys.readouterr().out
+            assert format_query_results(body["results"]) + "\n" == printed
+
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 0
+            reader.join(timeout=30)
+            assert not reader.is_alive()
+            assert list(lines.queue) == ["xpdl serve: shutdown complete\n"]
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
+            proc.stdout.close()
