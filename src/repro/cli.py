@@ -363,18 +363,18 @@ def cmd_doctor(args) -> int:
             print(text, file=sys.stderr)
 
     if args.format == "json":
-        payload = json.dumps(merged.to_dict(), indent=1, sort_keys=True)
-        _write_or_print(args.output, payload + "\n")
+        text = json.dumps(merged.to_dict(), indent=1, sort_keys=True)
     else:
-        for f in sorted(
-            merged.findings,
-            key=lambda f: (f.rule, f.subject, f.location, f.message),
-        ):
-            print(f"{f.location}: {f.severity}: {f.message} [{f.rule}]")
-        n = len(merged.findings)
-        print(
+        lines = [
+            f"{f.location}: {f.severity}: {f.message} [{f.rule}]"
+            for f in sorted(
+                merged.findings,
+                key=lambda f: (f.rule, f.subject, f.location, f.message),
+            )
+        ]
+        lines.append(
             f"doctor: {merged.errors} error(s), {merged.warnings} warning(s), "
-            f"{merged.notes} note(s) — {n} finding(s) over "
+            f"{merged.notes} note(s) — {len(merged.findings)} finding(s) over "
             f"{len(merged.checked)} subject(s), "
             f"{len(merged.rules_run)} rule(s)"
             + (
@@ -383,6 +383,8 @@ def cmd_doctor(args) -> int:
                 else ""
             )
         )
+        text = "\n".join(lines)
+    _write_or_print(args.output, text + "\n")
     return 1 if (not merged.ok() or session.sink.has_errors()) else 0
 
 
@@ -897,28 +899,40 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable the persistent cache for this run",
     )
-    fleet_report = argparse.ArgumentParser(add_help=False)
-    fleet_report.add_argument(
-        "--interval-s",
-        type=float,
-        default=60.0,
-        metavar="SECONDS",
-        help="length of one interval (default 60)",
-    )
-    fleet_report.add_argument(
-        "--request-ops",
-        type=int,
-        default=200_000,
-        metavar="N",
-        help="instructions per request (default 200000)",
-    )
-    fleet_report.add_argument(
-        "--format",
-        choices=("table", "json"),
-        default="table",
-        help="report format (default: table)",
-    )
-    fleet_report.add_argument("-o", "--output", metavar="FILE")
+
+    def fleet_report(defaults: bool) -> argparse.ArgumentParser:
+        """The report flags of `fleet` and `fleet sweep`.  `sweep` takes
+        them without defaults, so that its own do not overwrite a flag
+        given before `sweep`; repeated after it, the later one wins."""
+        parent = argparse.ArgumentParser(add_help=False)
+
+        def default(value: object) -> object:
+            return value if defaults else argparse.SUPPRESS
+
+        parent.add_argument(
+            "--interval-s",
+            type=float,
+            default=default(60.0),
+            metavar="SECONDS",
+            help="length of one interval (default 60)",
+        )
+        parent.add_argument(
+            "--request-ops",
+            type=int,
+            default=default(200_000),
+            metavar="N",
+            help="instructions per request (default 200000)",
+        )
+        parent.add_argument(
+            "--format",
+            choices=("table", "json"),
+            default=default("table"),
+            help="report format (default: table)",
+        )
+        parent.add_argument(
+            "-o", "--output", metavar="FILE", default=default(None)
+        )
+        return parent
 
     sub.add_parser("list", help="list repository descriptors").set_defaults(
         fn=cmd_list
@@ -1015,7 +1029,7 @@ def build_parser() -> argparse.ArgumentParser:
         "-o",
         "--output",
         metavar="FILE",
-        help="write the JSON report to FILE (with --format json)",
+        help="write the report to FILE",
     )
     p.add_argument(
         "--suppress",
@@ -1059,7 +1073,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fleet",
         help="simulate a fleet under a load trace and compare DVFS "
         "governor policies (energy vs. SLO)",
-        parents=[fleet_report],
+        parents=[fleet_report(defaults=True)],
     )
     p.add_argument(
         "--model",
@@ -1095,7 +1109,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="parallel (policy, trace, seed) grid sweep; workers reopen "
         "the model zero-copy from the image cache",
-        parents=[fleet_report, cached],
+        parents=[fleet_report(defaults=False), cached],
     )
     ps.add_argument(
         "--model",

@@ -14,13 +14,15 @@ This implements the core of the paper's Sec. IV processing pipeline:
 
 The result is a :class:`ComposedModel`: a self-contained concrete tree plus
 provenance and diagnostics — the input for static analysis, microbenchmark
-planning and runtime-IR emission.
+planning and runtime-IR emission.  It keeps no reference to the repository
+it was composed from, and pickles without its diagnostics sink, so stage
+caches persist the artifact alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Any, Mapping
 
 from ..diagnostics import (
     CompositionError,
@@ -81,12 +83,22 @@ class ComposedModel:
 
     identifier: str
     root: ModelElement
-    repository: ModelRepository
+    #: Where composition reported; not pickled (an unpickled copy starts
+    #: with an empty sink until a session re-binds its own).
     sink: DiagnosticSink
     referenced: tuple[str, ...] = ()
     unresolved: tuple[str, ...] = ()
     #: Param environments per element path, for inspection/debugging.
     environments: dict[str, dict[str, Value]] = field(default_factory=dict)
+
+    def __getstate__(self) -> dict[str, Any]:
+        state = dict(self.__dict__)
+        del state["sink"]
+        return state
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self.sink = DiagnosticSink()
 
     def count(self, kind: str) -> int:
         return sum(1 for e in self.root.walk() if e.kind == kind)
@@ -146,7 +158,6 @@ class Composer:
         composed = ComposedModel(
             identifier=identifier,
             root=root,
-            repository=self.repository,
             sink=sink,
             referenced=tuple(sorted(closure)),
             unresolved=tuple(unresolved),

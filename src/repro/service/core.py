@@ -117,11 +117,7 @@ class HostedModel:
     def ir_sha256(self) -> str:
         """SHA-256 of the serialized IR (lazy; cached per hosted entry)."""
         if self._ir_sha256 is None:
-            import hashlib
-
-            self._ir_sha256 = hashlib.sha256(
-                self.emit.ir.to_bytes()
-            ).hexdigest()
+            self._ir_sha256 = self.emit.ir_sha256()
         return self._ir_sha256
 
 

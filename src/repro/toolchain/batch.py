@@ -303,7 +303,6 @@ def _run_worker(task: _WorkerTask) -> WorkerReport:
         started = time.perf_counter()
         try:
             result = session.emit_ir(ident, keep_all=task.keep_all)
-            blob = result.ir.to_bytes()
             out_path = None
             if task.out_dir:
                 os.makedirs(task.out_dir, exist_ok=True)
@@ -314,7 +313,7 @@ def _run_worker(task: _WorkerTask) -> WorkerReport:
                     identifier=ident,
                     ok=True,
                     duration_s=time.perf_counter() - started,
-                    ir_sha256=hashlib.sha256(blob).hexdigest(),
+                    ir_sha256=result.ir_sha256(),
                     elements=len(result.ir),
                     referenced=len(result.composed.referenced),
                     out_path=out_path,

@@ -71,7 +71,8 @@ PICKLE_ERRORS = (
 #: Bump whenever the index layout or the pickled artifact schema changes;
 #: caches written by other versions are ignored (and rebuilt), never
 #: misread.  Version 2: pickled ``Quantity`` values carry ``written``.
-CACHE_SCHEMA_VERSION = 2
+#: Version 3: compositions pickle without their repository and sink.
+CACHE_SCHEMA_VERSION = 3
 
 #: Fixed pickle protocol so every writer produces compatible blobs.
 PICKLE_PROTOCOL = 4

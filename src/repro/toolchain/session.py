@@ -142,6 +142,13 @@ class EmitResult:
     #: for a zero-copy open instead of re-deriving the index.
     image_key: str | None = None
 
+    def ir_sha256(self) -> str:
+        """SHA-256 of the serialized IR.  The image key is that digest
+        already; only without a stored image is the IR serialized."""
+        if self.image_key:
+            return self.image_key
+        return hashlib.sha256(self.ir.to_bytes()).hexdigest()
+
 
 @dataclass
 class BootstrapResult:
@@ -287,6 +294,11 @@ class ToolchainSession:
         if not ok:
             obs.count("toolchain.diskcache.corrupt")
             return _DISK_MISS
+        # Blobs hold no sink: a composition served from disk reports to
+        # this session, as a fresh compute would.
+        composed = getattr(value, "composed", value)
+        if isinstance(composed, ComposedModel):
+            composed.sink = self.sink
         self._disk_hits += 1
         obs.count("toolchain.diskcache.hits")
         obs.count(f"toolchain.diskcache.hits.{stage}")

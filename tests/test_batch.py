@@ -11,6 +11,7 @@ import pytest
 
 from repro.cli import main
 from repro.diagnostics import DiagnosticSink, XpdlError
+from repro.ir import IRModel
 from repro.modellib import standard_repository
 from repro.obs import Observer
 from repro.toolchain import batch as batch_module
@@ -92,6 +93,35 @@ class TestBatchBuild:
         assert [b.ir_sha256 for b in warm.builds] == [
             b.ir_sha256 for b in cold.builds
         ]
+
+    def test_ir_sha256_same_with_no_cold_and_warm_cache(
+        self, tmp_path, monkeypatch
+    ):
+        """The SHA a build reports is the IR's whether it was hashed, read
+        from a freshly stored image's key, or from a cached one's."""
+        serialized = []
+        to_bytes = IRModel.to_bytes
+
+        def counting_to_bytes(ir):
+            serialized.append(ir)
+            return to_bytes(ir)
+
+        monkeypatch.setattr(IRModel, "to_bytes", counting_to_bytes)
+
+        def build(cache_dir):
+            serialized.clear()
+            report = run_batch(standard_repository(), jobs=1, cache_dir=cache_dir)
+            assert report.ok
+            return [(b.identifier, b.ir_sha256) for b in report.builds]
+
+        cache_dir = str(tmp_path / "cache")
+        uncached = build(None)
+        assert len(serialized) == len(uncached)
+        cold = build(cache_dir)
+        assert len(serialized) == len(cold)  # once, for the stored image
+        warm = build(cache_dir)
+        assert serialized == []  # every SHA is an image key
+        assert uncached == cold == warm
 
     def test_merged_counters_and_diagnostics(self):
         obs = Observer()

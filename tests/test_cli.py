@@ -350,6 +350,7 @@ def _export_note(out: str, written: str) -> str:
 #: one more newline than the file.
 WRITE_OR_PRINT = [
     pytest.param(["doctor", "--format", "json"], _wrote_note, False, id="doctor"),
+    pytest.param(["doctor"], _wrote_note, False, id="doctor-text"),
     pytest.param(
         ["fleet", "--model", "liu_gpu_server", "--intervals", "6", "--format", "json"],
         _digest_note,

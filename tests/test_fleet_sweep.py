@@ -670,3 +670,61 @@ class TestSweepTraceFlag:
         assert json.loads(out)["traces"] == expected
         events = [line for line in err.splitlines() if '"event"' in line]
         assert bool(events) == global_trace, events[:3]
+
+
+class TestSharedFleetFlags:
+    """``--format``, ``--interval-s``, ``--request-ops`` and ``-o`` belong
+    to both ``fleet`` and ``fleet sweep``: given before ``sweep`` they
+    apply, and repeated after it the later one wins."""
+
+    SWEEP = [
+        "--model", "liu_gpu_server", "--intervals", "2", "--seeds", "1",
+        "--jobs", "1", "--no-cache",
+    ]
+    SHARED = ["--format", "json", "--interval-s", "5", "--request-ops", "100000"]
+
+    def _run(self, capsys, *argv):
+        from tests.test_cli import run_cli
+
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        return out
+
+    def test_flags_before_sweep_apply(self, capsys):
+        before = self._run(capsys, "fleet", *self.SHARED, "sweep", *self.SWEEP)
+        after = self._run(capsys, "fleet", "sweep", *self.SWEEP, *self.SHARED)
+        assert before == after
+        report = json.loads(before)
+        assert (report["interval_s"], report["request_ops"]) == (5.0, 100000)
+
+    def test_output_before_sweep_writes_the_file(self, capsys, tmp_path):
+        printed = self._run(capsys, "fleet", "sweep", *self.SWEEP, *self.SHARED)
+        out = str(tmp_path / "sweep.json")
+        self._run(capsys, "fleet", "-o", out, *self.SHARED, "sweep", *self.SWEEP)
+        with open(out, encoding="utf-8") as fh:
+            assert fh.read() == printed
+
+    def test_flag_repeated_after_sweep_wins(self, capsys):
+        table = self._run(capsys, "fleet", "sweep", *self.SWEEP)
+        assert not table.startswith("{")
+        overridden = self._run(
+            capsys, "fleet", "--format", "json", "sweep", *self.SWEEP,
+            "--format", "table",
+        )
+        assert overridden == table
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fleet", "--model", "liu_gpu_server", "--intervals", "2"],
+            ["fleet", "sweep", *SWEEP],
+        ],
+        ids=["fleet", "sweep"],
+    )
+    def test_defaults_hold_without_flags(self, capsys, argv):
+        plain = self._run(capsys, *argv)
+        explicit = self._run(
+            capsys, *argv, "--format", "table", "--interval-s", "60",
+            "--request-ops", "200000",
+        )
+        assert plain == explicit

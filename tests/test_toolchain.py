@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -370,6 +372,73 @@ class TestPersistentCache:
         )
         session.emit_ir("SynthSys")
         assert obs.counters.get("compose.runs", 0) == 0
+
+
+#: Classes no stage blob may reference: the repository and the session's
+#: diagnostics belong to the process that computed an artifact, not to it.
+NOT_ARTIFACTS = frozenset(
+    {"ModelRepository", "DiagnosticSink", "SourceText", "LoadedModel", "IndexEntry"}
+)
+
+
+class _ArtifactOnlyUnpickler(pickle.Unpickler):
+    def find_class(self, module, name):
+        if name in NOT_ARTIFACTS:
+            raise pickle.UnpicklingError(f"stage blob holds {module}.{name}")
+        return super().find_class(module, name)
+
+
+class TestBlobsHoldOnlyTheArtifact:
+    """Stage blobs are plain data; a disk hit reports to the session that
+    loads it, exactly as a fresh compute in that session would."""
+
+    SYSTEM = "liu_gpu_server"
+
+    def _session(self, cache_dir) -> ToolchainSession:
+        return ToolchainSession(
+            standard_repository(),
+            disk_cache=PersistentStageCache(str(cache_dir)),
+        )
+
+    def test_blobs_unpickle_without_repository_or_sink(self, tmp_path):
+        session = self._session(tmp_path)
+        session.emit_ir(self.SYSTEM)
+        session.doctor(self.SYSTEM)
+        assert session.sink.sources  # what a pickled sink would drag along
+        cache = PersistentStageCache(str(tmp_path))
+        stages = []
+        for entry in cache.entries().values():
+            path = os.path.join(cache.objects_root, *entry.blob.split("/"))
+            with open(path, "rb") as fh:
+                _ArtifactOnlyUnpickler(fh).load()
+            stages.append(entry.stage)
+        assert sorted(stages) == ["analyze", "compose", "doctor", "emit_ir"]
+
+    def test_disk_hit_composition_reports_to_the_session(self, tmp_path):
+        self._session(tmp_path).emit_ir(self.SYSTEM)
+        session = self._session(tmp_path)
+        emitted = session.emit_ir(self.SYSTEM)
+        analyzed = session.analyze(self.SYSTEM)
+        composed = session.compose(self.SYSTEM)
+        assert session.cache_stats()["disk_hits"] == 3
+        for hit in (emitted.composed, analyzed.composed, composed):
+            assert hit.sink is session.sink
+
+    def test_image_key_is_the_ir_digest(self, tmp_path):
+        fresh = self._session(tmp_path).emit_ir(self.SYSTEM)
+        loaded_from = self._session(tmp_path)
+        loaded = loaded_from.emit_ir(self.SYSTEM)
+        assert loaded_from.cache_stats()["disk_hits"] == 1
+        digest = hashlib.sha256(fresh.ir.to_bytes()).hexdigest()
+        for result in (fresh, loaded):
+            assert result.image_key == hashlib.sha256(
+                result.ir.to_bytes()
+            ).hexdigest()
+            assert result.ir_sha256() == result.image_key == digest
+        # Without a disk cache there is no image: the IR is serialized.
+        uncached = ToolchainSession(standard_repository()).emit_ir(self.SYSTEM)
+        assert uncached.image_key is None
+        assert uncached.ir_sha256() == digest
 
 
 class TestInvalidationHooks:
