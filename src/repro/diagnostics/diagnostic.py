@@ -129,6 +129,7 @@ class DiagnosticSink:
         sources: dict[str, SourceText] | None = None,
     ) -> None:
         self._diags: list[Diagnostic] = []
+        self._errors = 0
         self.max_errors = max_errors
         self.warnings_as_errors = warnings_as_errors
         self.sources: dict[str, SourceText] = dict(sources or {})
@@ -162,10 +163,12 @@ class DiagnosticSink:
         if self._stage is not None and diag.stage is None:
             diag = replace(diag, stage=self._stage)
         self._diags.append(diag)
-        if self.error_count > self.max_errors:
-            raise XpdlError(
-                f"too many errors (> {self.max_errors}); aborting", self._diags
-            )
+        if diag.is_error():
+            self._errors += 1
+            if self._errors > self.max_errors:
+                raise XpdlError(
+                    f"too many errors (> {self.max_errors}); aborting", self._diags
+                )
 
     def emit_severity(
         self,
@@ -207,7 +210,7 @@ class DiagnosticSink:
 
     @property
     def error_count(self) -> int:
-        return sum(1 for d in self._diags if d.is_error())
+        return self._errors
 
     @property
     def warning_count(self) -> int:

@@ -28,7 +28,7 @@ from ..diagnostics import (
 from ..model import ModelElement, from_document
 from ..obs import get_observer
 from ..schema import SchemaValidator
-from ..xpdlxml import parse_xml
+from ..xpdlxml import parse_xml, root_start_tag
 from .store import DescriptorStore, MemoryStore, iter_store_chain
 
 #: Attributes whose value references another descriptor by identifier.
@@ -82,6 +82,9 @@ class ModelRepository:
         self.validate = validate
         self._validator = SchemaValidator()
         self._index: dict[str, IndexEntry] | None = None
+        # Lower-cased identifier -> its first spelling in the index, built
+        # with it: the "did you mean" lookup of an unresolvable load.
+        self._folded: dict[str, str] = {}
         self._models: dict[str, LoadedModel] = {}
         self._inline_store = MemoryStore(url="inline:")
 
@@ -99,11 +102,17 @@ class ModelRepository:
 
     # -- index ------------------------------------------------------------------
     def _root_identifier(self, text: str, path: str) -> tuple[str | None, str]:
-        """Extract (identifier, root tag) cheaply from descriptor text."""
-        doc = parse_xml(text, source_name=path)
-        root = doc.root
-        ident = root.get("name") or root.get("id")
-        return ident, root.tag
+        """Extract (identifier, root tag) cheaply from descriptor text.
+
+        The root start tag is read by pattern; only a document it cannot
+        vouch for (see :func:`~repro.xpdlxml.root_start_tag`) is parsed.
+        """
+        start = root_start_tag(text)
+        if start is None:
+            root = parse_xml(text, source_name=path).root
+            return root.get("name") or root.get("id"), root.tag
+        tag, attrs = start
+        return attrs.get("name") or attrs.get("id"), tag
 
     def index(self, sink: DiagnosticSink | None = None) -> dict[str, IndexEntry]:
         """Build (or return cached) identifier -> location index."""
@@ -170,6 +179,9 @@ class ModelRepository:
                     continue
                 index[ident] = IndexEntry(ident, path, store, tag, text)
         self._index = index
+        self._folded = {}
+        for ident in index:
+            self._folded.setdefault(ident.lower(), ident)
         self._drain_store_notices(sink)
         if obs.enabled:
             obs.count("repo.index.builds")
@@ -208,8 +220,8 @@ class ModelRepository:
         # must land here, not in a throwaway sink.
         entry = self.index(sink).get(identifier)
         if entry is None:
-            close = [i for i in self.index() if i.lower() == identifier.lower()]
-            hint = f"; did you mean {close[0]!r}?" if close else ""
+            close = self._folded.get(identifier.lower())
+            hint = f"; did you mean {close!r}?" if close else ""
             raise ResolutionError(
                 f"no descriptor defines {identifier!r} in the repository{hint}",
                 sink.diagnostics,

@@ -43,11 +43,15 @@ Thread model: host state transitions (lease/build/evict/doctor) happen
 under one re-entrant lock; query evaluation runs outside it against the
 leased entry's read-only index (handle interning and analysis memos are
 idempotent single-item writes, safe under the GIL), so many worker
-threads can evaluate queries concurrently.
+threads can evaluate queries concurrently.  :meth:`ModelHost.handle_inline`
+is the exception: it answers a hot request on the calling thread (the
+daemon's event loop) holding the lock throughout, and declines whenever
+that could mean running or waiting on a toolchain stage.
 """
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from collections import OrderedDict
@@ -79,6 +83,12 @@ DEFAULT_ANALYSES = (
     "count_cuda_devices",
     "total_static_power",
 )
+
+#: Ops that only read a hosted model: once it is fresh they run no
+#: toolchain stage, so :meth:`ModelHost.handle_inline` may answer them.
+INLINE_OPS = ("query", "info", "analysis")
+
+_log = logging.getLogger(__name__)
 
 
 class ServiceError(XpdlError):
@@ -233,6 +243,24 @@ def merged_doctor_report(
     return merged
 
 
+def _inline_models(request: Mapping[str, Any]) -> list[str] | None:
+    """The models a request names if every op in it is an
+    :data:`INLINE_OPS` op (a ``batch`` counts by its sub-requests) naming
+    its model by a string; ``None`` otherwise."""
+    subs = request.get("requests") if request.get("op") == "batch" else [request]
+    if not isinstance(subs, list):
+        return None
+    models = []
+    for sub in subs:
+        if not isinstance(sub, Mapping) or sub.get("op") not in INLINE_OPS:
+            return None
+        model = sub.get("model")
+        if not isinstance(model, str):
+            return None
+        models.append(model)
+    return models
+
+
 # ---------------------------------------------------------------------------
 # the host
 # ---------------------------------------------------------------------------
@@ -276,6 +304,9 @@ class ModelHost:
         self._inflight = 0
         self._generation = 0
         self._started_at = time.monotonic()
+        # The one freshness-clock reading of the request handle_inline is
+        # answering; only the thread holding the lock sets or reads it.
+        self._inline_now: float | None = None
         # Stage-cache fingerprints are the reload authority: when the
         # session notices an edited source it drops the stale stage entry
         # and this hook retires the hosted index built from it.
@@ -300,6 +331,10 @@ class ModelHost:
                 self._total_bytes -= entry.size_bytes
                 self.observer.count("service.model.invalidated")
 
+    def _fresh(self, entry: HostedModel | None, now: float) -> bool:
+        """Whether ``entry`` was checked within ``reload_ttl_s`` of ``now``."""
+        return entry is not None and (now - entry.checked_at) < self.reload_ttl_s
+
     def _acquire(self, identifier: str) -> HostedModel:
         """Lease the hosted entry for ``identifier`` (refcounted).
 
@@ -307,13 +342,12 @@ class ModelHost:
         repository; otherwise the stage cache revalidates the fingerprint
         and the entry is kept (unchanged sources) or rebuilt (edit).
         """
-        now = time.monotonic()
         with self._lock:
+            now = self._inline_now
+            if now is None:
+                now = time.monotonic()
             entry = self._models.get(identifier)
-            if (
-                entry is not None
-                and (now - entry.checked_at) < self.reload_ttl_s
-            ):
+            if self._fresh(entry, now):
                 entry.hits += 1
                 entry.refs += 1
                 self._models.move_to_end(identifier)
@@ -456,7 +490,11 @@ class ModelHost:
                 obs.record(f"service.latency.{op}", dt)
 
     def handle(self, request: Mapping[str, Any]) -> tuple[int, dict[str, Any]]:
-        """:meth:`dispatch` with failures folded into ``(status, body)``."""
+        """:meth:`dispatch` with failures folded into ``(status, body)``.
+
+        A defect (any other exception) answers 500 and logs its traceback:
+        a request never takes its connection down with it.
+        """
         try:
             return 200, self.dispatch(request)
         except ServiceError as exc:
@@ -465,13 +503,66 @@ class ModelHost:
         except XpdlError as exc:
             self.observer.count("service.errors")
             return 400, {"error": _error_message(exc), "status": 400}
+        except Exception as exc:
+            _log.exception("internal error serving %r", request.get("op"))
+            self.observer.count("service.errors")
+            message = f"internal error: {type(exc).__name__}: {exc}"
+            return 500, {"error": message, "status": 500}
+
+    def handle_inline(
+        self, request: Mapping[str, Any]
+    ) -> tuple[int, dict[str, Any]] | None:
+        """:meth:`handle` on the calling thread if ``request`` is hot, else
+        ``None`` with no side effect (no lease, counter or histogram).
+
+        Hot means every op is an :data:`INLINE_OPS` op (a ``batch`` of
+        them counts), every model named is hosted and fresh, and the host
+        lock is free.  The lock is held for the whole request and the
+        freshness clock read once, so an answered request neither runs a
+        toolchain stage nor waits on one that another thread runs: the
+        ``xpdl serve`` event loop answers hot requests this way and sends
+        the rest to its thread pool.
+        """
+        models = _inline_models(request)
+        if models is None or not self._lock.acquire(blocking=False):
+            return None
+        try:
+            now = time.monotonic()
+            if not all(self._fresh(self._models.get(m), now) for m in models):
+                return None
+            self._inline_now = now
+            try:
+                return self.handle(request)
+            finally:
+                self._inline_now = None
+        finally:
+            self._lock.release()
 
     # -- ops ------------------------------------------------------------------
-    def _require(self, request: Mapping[str, Any], key: str) -> Any:
+    def _require(
+        self, request: Mapping[str, Any], key: str, kind: type = str
+    ) -> Any:
+        """Field ``key`` of ``request``; a 400 naming it when it is
+        missing or not a ``kind``."""
         value = request.get(key)
         if value is None:
             raise ServiceError(f"request is missing {key!r}", status=400)
+        if not isinstance(value, kind):
+            noun = "string" if kind is str else kind.__name__
+            raise ServiceError(f"{key!r} must be a {noun}", status=400)
         return value
+
+    def _strings(self, request: Mapping[str, Any], key: str) -> tuple[str, ...]:
+        """Optional list-of-strings field ``key`` (empty when absent); a
+        400 naming it when it is anything else."""
+        value = request.get(key)
+        if value is None:
+            return ()
+        if not isinstance(value, (list, tuple)) or not all(
+            isinstance(v, str) for v in value
+        ):
+            raise ServiceError(f"{key!r} must be a list of strings", status=400)
+        return tuple(value)
 
     def _op_health(self, request: Mapping[str, Any]) -> dict[str, Any]:
         return {"ok": True, "uptime_s": round(self.uptime_s(), 3)}
@@ -505,7 +596,7 @@ class ModelHost:
 
     def _op_analysis(self, request: Mapping[str, Any]) -> dict[str, Any]:
         model = self._require(request, "model")
-        names = tuple(request.get("analyses") or DEFAULT_ANALYSES)
+        names = self._strings(request, "analyses") or DEFAULT_ANALYSES
         entry = self._acquire(model)
         try:
             results = run_analyses(entry.ctx, names)
@@ -530,8 +621,8 @@ class ModelHost:
             self._release(entry)
 
     def _op_doctor(self, request: Mapping[str, Any]) -> dict[str, Any]:
-        models = request.get("models") or None
-        suppress = tuple(request.get("suppress") or ())
+        models = list(self._strings(request, "models")) or None
+        suppress = self._strings(request, "suppress")
         with self._lock, use_observer(self.observer):
             try:
                 merged = merged_doctor_report(
@@ -548,9 +639,7 @@ class ModelHost:
             return models_payload(self.repository)
 
     def _op_batch(self, request: Mapping[str, Any]) -> dict[str, Any]:
-        requests = self._require(request, "requests")
-        if not isinstance(requests, list):
-            raise ServiceError("'requests' must be a list", status=400)
+        requests = self._require(request, "requests", list)
         results = []
         for sub in requests:
             if not isinstance(sub, Mapping) or sub.get("op") == "batch":

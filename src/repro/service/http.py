@@ -2,17 +2,22 @@
 
 Stdlib only — one ``asyncio.start_server`` accept loop parsing a strict
 subset of HTTP/1.1 (keep-alive, ``Content-Length`` bodies, no chunked
-encoding), dispatching request objects into a thread pool running
-:meth:`~repro.service.core.ModelHost.handle`.  The event loop stays free
-to multiplex many concurrent clients while the pool evaluates compiled
-queries; the host's lease protocol makes that safe.
+encoding).  A hot request (``query``/``info``/``analysis``, or a batch of
+them, on hosted fresh models while the host lock is free) is answered on
+the event loop by :meth:`~repro.service.core.ModelHost.handle_inline`:
+its handler work is far shorter than a hand-off to another thread.
+Everything else — cold or stale models, ``compose``, ``doctor``,
+``models``, ``stats`` — goes to a thread pool running
+:meth:`~repro.service.core.ModelHost.handle`, so toolchain work never
+blocks the loop.  ``service.dispatch.inline`` and
+``service.dispatch.pool`` count the split.
 
 Routes (all responses are JSON):
 
 ================  ======  =================================================
 path              method  host op / body
 ================  ======  =================================================
-``/healthz``      GET     liveness (answered on the event loop, no pool)
+``/healthz``      GET     liveness (answered on the event loop, no host)
 ``/stats``        GET     ``stats`` — host + observer snapshot
 ``/models``       GET     ``models`` — repository index listing
 ``/info``         GET     ``info`` (``?model=``)
@@ -187,20 +192,31 @@ class XpdlHttpServer:
     async def _dispatch(
         self, request: Mapping[str, Any]
     ) -> tuple[int, dict[str, Any]]:
+        # Both counters are written only here, on the loop thread.
+        observer = self.host.observer
+        answered = self.host.handle_inline(request)
+        if answered is not None:
+            observer.count("service.dispatch.inline")
+            return answered
+        observer.count("service.dispatch.pool")
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
             self._executor, self.host.handle, request
         )
 
 
+async def _readline(reader: asyncio.StreamReader, what: str) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError as exc:  # line longer than the stream limit
+        raise _BadRequest(f"{what} too long: {exc}") from exc
+
+
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> tuple[str, str, dict[str, str], bytes] | None:
     """Parse one request off the stream; None on clean EOF."""
-    try:
-        line = await reader.readline()
-    except ValueError as exc:  # line longer than the stream limit
-        raise _BadRequest(f"request line too long: {exc}") from exc
+    line = await _readline(reader, "request line")
     if not line:
         return None
     parts = line.decode("latin-1").strip().split()
@@ -210,7 +226,7 @@ async def _read_request(
     headers: dict[str, str] = {}
     total = 0
     while True:
-        raw = await reader.readline()
+        raw = await _readline(reader, "header line")
         if raw in (b"\r\n", b"\n", b""):
             break
         total += len(raw)
@@ -243,6 +259,7 @@ async def _write_response(
         400: "Bad Request",
         404: "Not Found",
         405: "Method Not Allowed",
+        500: "Internal Server Error",
     }.get(status, "Error")
     data = json.dumps(payload, sort_keys=True).encode("utf-8")
     head = (

@@ -13,7 +13,7 @@ from .dom import (
     XmlPI,
     XmlText,
 )
-from .parser import XmlParser, parse_xml, parse_xml_file
+from .parser import XmlParser, parse_xml, parse_xml_file, root_start_tag
 from .writer import XmlWriter, escape_attr, escape_text, write_element, write_xml
 from .build import comment, document, element, synth_span, text
 from .path import find_all, find_first
@@ -30,6 +30,7 @@ __all__ = [
     "XmlParser",
     "parse_xml",
     "parse_xml_file",
+    "root_start_tag",
     "XmlWriter",
     "escape_attr",
     "escape_text",

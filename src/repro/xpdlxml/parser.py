@@ -11,6 +11,8 @@ where it safely can — while ``strict=True`` raises on the first error.
 
 from __future__ import annotations
 
+import re
+
 from ..diagnostics import (
     DiagnosticSink,
     ParseError,
@@ -43,6 +45,53 @@ _NAME_CHARS = _NAME_START | set("0123456789.-")
 
 def _is_name(text: str) -> bool:
     return bool(text) and text[0] in _NAME_START and all(c in _NAME_CHARS for c in text)
+
+
+def _char_class(chars: str | set[str]) -> str:
+    return "[" + "".join(re.escape(c) for c in sorted(chars)) + "]"
+
+
+# The start-tag reader below mirrors the parser's lexical sets: the
+# whitespace ``_skip_ws`` skips and the ``_read_name`` name characters.
+_S = _char_class(" \t\r\n")
+_NAME_RE = _char_class(_NAME_START) + _char_class(_NAME_CHARS) + "*"
+#: One attribute as the parser reads it, restricted to quoted values free
+#: of '<' (an error) and '&' (a reference to decode).
+_ATTRIBUTE_RE = rf"""{_S}*({_NAME_RE}){_S}*={_S}*(?:"([^"<&]*)"|'([^'<&]*)')"""
+_ATTRIBUTE = re.compile(_ATTRIBUTE_RE)
+#: The prolog and the root start tag, matched only where the parser reads
+#: the same root.  Comments and PIs end at their first terminator, as the
+#: parser's ``find`` does, and the patterns cannot backtrack past it.
+_ROOT_START = re.compile(
+    # Leading whitespace, all of it, then the XML declaration, which the
+    # parser looks for only here: well-formed with quoted values, or absent.
+    rf"{_S}*(?!{_S})"
+    rf"""(?:<\?xml(?:{_S}*{_NAME_RE}{_S}*={_S}*(?:"[^"]*"|'[^']*'))*{_S}*\?>|(?!<\?xml))"""
+    # Comments and processing instructions.
+    rf"(?:{_S}*(?:<!--(?:[^-]|-(?!->))*-->|<\?(?:[^?]|\?(?!>))*\?>))*"
+    # The root start tag.
+    rf"{_S}*<({_NAME_RE})((?:{_ATTRIBUTE_RE})*){_S}*/?>"
+)
+
+
+def root_start_tag(text: str) -> tuple[str, dict[str, str]] | None:
+    """The root element's tag and attributes, read from its start tag.
+
+    Returns what :func:`parse_xml` would give as ``doc.root.tag`` and its
+    attribute values, without parsing the rest of the document, or
+    ``None`` when the start tag alone cannot vouch for that: a DOCTYPE,
+    text or a byte-order mark before the root, a malformed declaration,
+    an unquoted or valueless attribute, ``&`` or ``<`` in a value, or no
+    root at all.  Callers fall back to the full parse on ``None``.
+    """
+    m = _ROOT_START.match(text)
+    if m is None:
+        return None
+    attrs: dict[str, str] = {}
+    for a in _ATTRIBUTE.finditer(m.group(2)):
+        value = a.group(2) if a.group(2) is not None else a.group(3)
+        attrs.setdefault(a.group(1), value)  # the parser keeps the first
+    return m.group(1), attrs
 
 
 class XmlParser:
@@ -174,7 +223,7 @@ class XmlParser:
                         start,
                     )
                 elem = self._parse_element()
-                if elem is not None:
+                if root is None:  # the first root stays (root_start_tag reads it)
                     root = elem
                 continue
             else:

@@ -118,6 +118,40 @@ class TestDiagnosticSink:
         sink.extend([d, d])
         assert len(sink) == 2
 
+    def test_error_count_equals_a_recount(self):
+        span = SourceSpan.unknown("f")
+        sink = DiagnosticSink()
+        promoted = DiagnosticSink(warnings_as_errors=True)
+        for s in (sink, promoted):
+            s.note("N", "n", span)
+            s.warning("W", "w", span)
+            s.error("E", "e", span)
+            s.fatal("F", "f", span)
+            s.emit_severity(Severity.WARNING, "W", "w2", span)
+            s.extend(
+                [
+                    Diagnostic(Severity.ERROR, "E", "e2", span),
+                    Diagnostic(Severity.WARNING, "W", "w3", span),
+                    Diagnostic(Severity.NOTE, "N", "n2", span),
+                ]
+            )
+            assert s.error_count == sum(d.is_error() for d in s)
+            assert s.error_count == len(s.errors())
+        assert sink.error_count == 3
+        assert promoted.error_count == 6
+
+    def test_max_errors_raises_on_the_next_error_with_all_attached(self):
+        span = SourceSpan.unknown("f")
+        sink = DiagnosticSink(max_errors=3)
+        for i in range(3):
+            sink.error("X", str(i), span)
+            sink.warning("W", str(i), span)
+        with pytest.raises(XpdlError) as exc:
+            sink.error("X", "3", span)
+        errors = [d for d in exc.value.diagnostics if d.is_error()]
+        assert [d.message for d in errors] == ["0", "1", "2", "3"]
+        assert sink.error_count == 4
+
 
 class TestRendering:
     def test_render_with_snippet(self):

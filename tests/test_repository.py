@@ -1,7 +1,10 @@
 """Tests for the distributed model repository."""
 
+from pathlib import Path
+
 import pytest
 
+from repro.corpus import generate_corpus
 from repro.diagnostics import DiagnosticSink, ResolutionError, TransientFetchError
 from repro.repository import (
     CachingStore,
@@ -12,6 +15,9 @@ from repro.repository import (
     ModelRepository,
     RemoteSimStore,
 )
+from repro.xpdlxml import parse_xml, root_start_tag
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def make_repo(files: dict[str, str]) -> ModelRepository:
@@ -107,6 +113,21 @@ class TestLoading:
         with pytest.raises(ResolutionError) as exc:
             repo.load("cpua")
         assert "CpuA" in str(exc.value)
+
+    def test_case_hint_names_the_first_match_and_follows_reindex(self):
+        store = MemoryStore(
+            {"a.xpdl": "<cpu name='CPUA'/>", "b.xpdl": "<cpu name='CpuA'/>"}
+        )
+        repo = ModelRepository([store])
+        with pytest.raises(ResolutionError, match="did you mean 'CPUA'"):
+            repo.load("cpua")
+        with pytest.raises(ResolutionError) as exc:
+            repo.load("nothing")
+        assert "did you mean" not in str(exc.value)
+        store.put("a.xpdl", "<cpu name='Other'/>")
+        repo.invalidate()
+        with pytest.raises(ResolutionError, match="did you mean 'CpuA'"):
+            repo.load("cpua")
 
     def test_references_of(self):
         repo = make_repo({})
@@ -233,3 +254,88 @@ class TestIndexResilience:
         repo.index()
         remote.faults = FaultPlan(default=AlwaysFail())  # remote dies
         assert repo.load("A").model.attrs["name"] == "A"
+
+
+def _full_root(text: str) -> tuple[str, dict[str, str]]:
+    root = parse_xml(text).root
+    return root.tag, {name: a.value for name, a in root.attributes.items()}
+
+
+def _descriptor_texts() -> list[tuple[str, str]]:
+    texts = [
+        (str(path.relative_to(REPO_ROOT)), path.read_text(encoding="utf-8"))
+        for top in ("src", "tests", "examples")
+        for path in sorted((REPO_ROOT / top).rglob("*.xpdl"))
+    ]
+    for seed, scale in ((7, 40), (1, 120), (3, 300)):
+        corpus = generate_corpus(seed, scale)
+        texts += [(f"gen({seed},{scale})/{p}", t) for p, t in corpus.files]
+    return texts
+
+
+class TestRootStartTag:
+    """The index reads each descriptor's root start tag by pattern; the
+    full parse must agree wherever the pattern answers."""
+
+    def test_pattern_equals_full_parse_on_every_descriptor(self):
+        texts = _descriptor_texts()
+        assert len(texts) > 460
+        for name, text in texts:
+            start = root_start_tag(text)
+            assert start is not None, name  # no shipped descriptor falls back
+            assert start == _full_root(text), name
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("<cpu name='A'/>", ("cpu", {"name": "A"})),
+            (
+                '<?xml version="1.0" encoding=\'utf-8\'?>\n<!-- a > b -- c -->\n'
+                '<?pi x?y > z?>\r\n\t<system id="S" name=\'\'>',
+                ("system", {"id": "S", "name": ""}),
+            ),
+            ('<cpu name="x>y" name="dup" id = "i"\n/>', ("cpu", {"name": "x>y", "id": "i"})),
+            ("<!----><?xml late?><a.b-c:d e=''>", ("a.b-c:d", {"e": ""})),
+            ('<a x="1"y="2">', ("a", {"x": "1", "y": "2"})),
+        ],
+    )
+    def test_pattern_path_cases(self, text, expected):
+        assert root_start_tag(text) == expected == _full_root(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "<!DOCTYPE cpu><cpu name='A'/>",
+            "<cpu name='A&amp;B'/>",
+            "<cpu name='A<B'/>",
+            "<cpu name=A/>",
+            "<cpu name='A' virtual/>",
+            "\ufeff<cpu name='A'/>",
+            "text <cpu name='A'/>",
+            "<!-- unterminated <cpu name='A'/>",
+            "<?xml-stylesheet href='s'?><cpu name='A'/>",
+            "<?xml version=1.0?><cpu name='A'/>",
+            "< cpu name='A'/><cpu name='B'/>",
+            "<cpu name='A' / >",
+            "",
+            "   ",
+        ],
+    )
+    def test_fallback_cases_agree_with_the_parser(self, text):
+        assert root_start_tag(text) is None
+        repo = make_repo({})
+        root = parse_xml(text).root
+        assert repo._root_identifier(text, "x.xpdl") == (
+            root.get("name") or root.get("id"),
+            root.tag,
+        )
+
+    def test_two_roots_index_and_load_agree(self):
+        text = "<cpu name='First'/>\n<cpu name='Second'/>"
+        assert root_start_tag(text) == ("cpu", {"name": "First"})
+        repo = make_repo({"two.xpdl": text})
+        assert list(repo.index()) == ["First"]
+        sink = DiagnosticSink()
+        loaded = repo.load("First", sink)
+        assert loaded.model.name == "First"
+        assert [d.code for d in sink.errors()] == ["XML0020"]

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import contextlib
 import json
+import logging
 import os
 import queue
 import re
@@ -13,6 +15,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -41,11 +44,10 @@ SYSTEM = (
 )
 
 
-@pytest.fixture(scope="module")
-def service():
-    """One daemon on an ephemeral port, shared by the module's tests."""
-    store = MemoryStore({"cpu.xpdl": CPU, "sys.xpdl": SYSTEM})
-    host = ModelHost(ModelRepository([store]), reload_ttl_s=60.0)
+@contextlib.contextmanager
+def _serving(host: ModelHost):
+    """An XpdlHttpServer for ``host`` on an ephemeral port, its event loop
+    running on its own thread; yields ``((address, port), loop_thread)``."""
     loop = asyncio.new_event_loop()
     thread = threading.Thread(target=loop.run_forever, daemon=True)
     thread.start()
@@ -54,7 +56,7 @@ def service():
         server.start(), loop
     ).result(timeout=30)
     try:
-        yield ServiceClient(address, port), host, (address, port), store
+        yield (address, port), thread
     finally:
         asyncio.run_coroutine_threadsafe(server.close(), loop).result(
             timeout=30
@@ -62,6 +64,74 @@ def service():
         loop.call_soon_threadsafe(loop.stop)
         thread.join(timeout=30)
         loop.close()
+
+
+def _host() -> tuple[ModelHost, MemoryStore]:
+    store = MemoryStore({"cpu.xpdl": CPU, "sys.xpdl": SYSTEM})
+    return ModelHost(ModelRepository([store]), reload_ttl_s=60.0), store
+
+
+@pytest.fixture(scope="module")
+def service():
+    """One daemon on an ephemeral port, shared by the module's tests."""
+    host, store = _host()
+    with _serving(host) as (addr, _thread):
+        yield ServiceClient(*addr), host, addr, store
+
+
+@pytest.fixture
+def fresh():
+    """A daemon of its own, every model cold:
+    ``(client, host, (address, port), loop_thread)``."""
+    host, _store = _host()
+    with _serving(host) as (addr, thread):
+        yield ServiceClient(*addr), host, addr, thread
+
+
+def _raw(addr, payload: bytes) -> bytes:
+    """Send ``payload`` on a new connection; everything the server sent."""
+    with socket.create_connection(addr, timeout=10) as sock:
+        sock.sendall(payload)
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while True:
+            data = sock.recv(65536)
+            if not data:
+                break
+            chunks.append(data)
+    return b"".join(chunks)
+
+
+def _post_raw(addr, route: str, payload) -> tuple[int, dict]:
+    """POST ``payload`` as JSON on a raw socket; (status, decoded body).
+    A dropped connection fails the assertion here."""
+    body = json.dumps(payload).encode()
+    raw = _raw(
+        addr,
+        f"POST {route} HTTP/1.1\r\nHost: x\r\nContent-Length: {len(body)}\r\n"
+        "Connection: close\r\n\r\n".encode() + body,
+    )
+    assert raw.startswith(b"HTTP/1.1 "), raw
+    head, _, data = raw.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(data)
+
+
+def _record_threads(host: ModelHost, monkeypatch) -> list[threading.Thread]:
+    """The thread of every ``host.handle`` call from now on (a batch's
+    sub-requests included)."""
+    threads: list[threading.Thread] = []
+    handle = host.handle
+
+    def recording(request):
+        threads.append(threading.current_thread())
+        return handle(request)
+
+    monkeypatch.setattr(host, "handle", recording)
+    return threads
+
+
+def _in_pool(thread: threading.Thread) -> bool:
+    return thread.name.startswith("xpdl-serve")
 
 
 class TestRouting:
@@ -145,31 +215,19 @@ class TestRouting:
 
 
 class TestWireProtocol:
-    def _raw(self, addr, payload: bytes) -> bytes:
-        with socket.create_connection(addr, timeout=10) as sock:
-            sock.sendall(payload)
-            sock.shutdown(socket.SHUT_WR)
-            chunks = []
-            while True:
-                data = sock.recv(65536)
-                if not data:
-                    break
-                chunks.append(data)
-        return b"".join(chunks)
-
     def test_keep_alive_serves_two_requests_on_one_connection(self, service):
         _, _, addr, _ = service
         request = (
             b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
             b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
         )
-        raw = self._raw(addr, request)
+        raw = _raw(addr, request)
         assert raw.count(b"HTTP/1.1 200 OK") == 2
         assert raw.count(b'{"ok": true}') == 2
 
     def test_malformed_request_line_is_400(self, service):
         _, _, addr, _ = service
-        raw = self._raw(addr, b"BOGUS\r\n\r\n")
+        raw = _raw(addr, b"BOGUS\r\n\r\n")
         assert raw.startswith(b"HTTP/1.1 400 ")
 
     def test_oversized_body_is_rejected(self, service):
@@ -178,20 +236,197 @@ class TestWireProtocol:
             b"POST /query HTTP/1.1\r\nHost: x\r\n"
             b"Content-Length: 99999999999\r\n\r\n"
         )
-        raw = self._raw(addr, head)
+        raw = _raw(addr, head)
         assert raw.startswith(b"HTTP/1.1 400 ")
 
     def test_method_not_allowed(self, service):
         _, _, addr, _ = service
-        raw = self._raw(addr, b"PUT /query HTTP/1.1\r\nHost: x\r\n\r\n")
+        raw = _raw(addr, b"PUT /query HTTP/1.1\r\nHost: x\r\n\r\n")
         assert raw.startswith(b"HTTP/1.1 405 ")
+
+    def test_header_line_over_the_stream_limit_is_400(self, service):
+        _, _, addr, _ = service
+        request = (
+            b"GET /healthz HTTP/1.1\r\nX-Long: "
+            + b"a" * (64 * 1024 + 1)
+            + b"\r\n\r\n"
+        )
+        raw = _raw(addr, request)
+        assert raw.startswith(b"HTTP/1.1 400 "), raw[:80]
+        assert b"header line too long" in raw
+
+
+class TestRequestBoundary:
+    """Field types are checked where a request enters the host, and no
+    request drops its connection."""
+
+    @pytest.mark.parametrize(
+        "route, payload, field",
+        [
+            ("/query", {"model": ["SynthSys"], "path": "//core"}, "model"),
+            ("/info", {"model": {"a": 1}}, "model"),
+            ("/query", {"model": "SynthSys", "path": 5}, "path"),
+            ("/analysis", {"model": "SynthSys", "analyses": "count_cores"}, "analyses"),
+            ("/analysis", {"model": "SynthSys", "analyses": ["count_cores", 1]}, "analyses"),
+            ("/doctor", {"models": "SynthSys"}, "models"),
+            ("/doctor", {"suppress": "XPDL0211"}, "suppress"),
+            ("/batch", {"requests": [{"op": "query", "model": 7, "path": "//core"}]}, "model"),
+        ],
+    )
+    def test_wrong_field_type_is_a_400_naming_it(self, service, route, payload, field):
+        _, _, addr, _ = service
+        status, body = _post_raw(addr, route, payload)
+        if route == "/batch":
+            status, body = body["results"][0]["status"], body["results"][0]
+        assert status == 400, body
+        assert f"{field!r} must be a" in body["error"]
+
+    def test_defect_answers_500_on_both_dispatch_paths(
+        self, fresh, monkeypatch, caplog
+    ):
+        client, host, addr, loop_thread = fresh
+        threads = _record_threads(host, monkeypatch)
+
+        def broken(ctx):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("repro.service.core.info_payload", broken)
+        with caplog.at_level(logging.ERROR, logger="repro.service.core"):
+            cold = _post_raw(addr, "/info", {"model": "SynthSys"})
+            hot = _post_raw(addr, "/info", {"model": "SynthSys"})
+        assert _in_pool(threads[0]) and threads[1] is loop_thread
+        for status, body in (cold, hot):
+            assert status == 500
+            assert body == {
+                "error": "internal error: RuntimeError: boom",
+                "status": 500,
+            }
+        assert host.observer.counter("service.errors") == 2
+        logged = [r for r in caplog.records if r.name == "repro.service.core"]
+        assert len(logged) == 2 and all(r.exc_info for r in logged)
+        assert client.health() == {"ok": True}
+
+
+class TestInlineDispatch:
+    """Hot requests are answered on the event loop; everything that may
+    run or wait on a toolchain stage goes to the pool."""
+
+    def test_hot_requests_run_on_the_loop_thread(self, fresh, monkeypatch):
+        client, host, _, loop_thread = fresh
+        threads = _record_threads(host, monkeypatch)
+        client.info("SynthSys")  # cold: hosted by a pool thread
+        assert len(threads) == 1 and _in_pool(threads[0])
+        calls = [
+            lambda: client.query("SynthSys", "//core"),
+            lambda: client.get("/query", model="SynthSys", path="//core"),
+            lambda: client.info("SynthSys"),
+            lambda: client.get("/info", model="SynthSys"),
+            lambda: client.analysis("SynthSys"),
+            lambda: client.analysis("SynthSys", ["count_kind:core"]),
+            lambda: client.batch(
+                [
+                    {"op": "query", "model": "SynthSys", "path": "//core"},
+                    {"op": "info", "model": "SynthSys"},
+                    {"op": "analysis", "model": "SynthSys"},
+                ]
+            ),
+        ]
+        for call in calls:
+            threads.clear()
+            call()
+            assert threads and all(t is loop_thread for t in threads)
+
+    def test_toolchain_work_and_cold_models_run_in_the_pool(
+        self, fresh, monkeypatch
+    ):
+        client, host, _, loop_thread = fresh
+        threads = _record_threads(host, monkeypatch)
+        calls = [
+            lambda: client.query("SynthSys", "//core"),  # cold
+            lambda: client.compose("SynthSys"),
+            lambda: client.doctor(["SynthSys"]),
+            lambda: client.models(),
+            lambda: client.stats(),
+            lambda: client.batch(
+                [
+                    {"op": "query", "model": "SynthSys", "path": "//core"},
+                    {"op": "compose", "model": "SynthSys"},
+                ]
+            ),
+        ]
+        for call in calls:
+            threads.clear()
+            call()
+            assert threads and all(_in_pool(t) for t in threads)
+        with pytest.raises(ServiceClientError):
+            client.query("nope", "//core")  # never hosted
+        host.reload_ttl_s = 0.0  # every model is stale
+        for call in (
+            lambda: client.query("SynthSys", "//core"),
+            lambda: client.info("SynthSys"),
+            lambda: client.analysis("SynthSys"),
+        ):
+            threads.clear()
+            call()
+            assert threads and all(_in_pool(t) for t in threads)
+
+    def test_dispatch_counters_count_each_request_once(self, fresh):
+        client, host, _, _ = fresh
+        query = {"op": "query", "model": "SynthSys", "path": "//core"}
+        pooled = [
+            lambda: client.info("SynthSys"),  # cold
+            lambda: client.compose("SynthSys"),
+            lambda: client.models(),
+            lambda: client.post("/query", {"path": "//core"}),  # no model
+        ]
+        inline = [
+            lambda: client.query("SynthSys", "//core"),
+            lambda: client.analysis("SynthSys", ["no_such_analysis"]),
+            lambda: client.batch([query, query]),
+        ]
+        for call in pooled + inline:
+            with contextlib.suppress(ServiceClientError):
+                call()
+        counters = client.stats()["observer"]["counters"]
+        assert counters["service.dispatch.inline"] == len(inline)
+        assert counters["service.dispatch.pool"] == len(pooled) + 1  # + stats
+
+    def test_held_host_lock_stalls_hot_query_not_the_loop(self, fresh):
+        client, host, _, _ = fresh
+        client.info("SynthSys")
+        pooled = host.observer.counter("service.dispatch.pool")
+        with concurrent.futures.ThreadPoolExecutor(1) as pool:
+            with host._lock:
+                pending = pool.submit(client.query, "SynthSys", "//core")
+                deadline = time.monotonic() + 30
+                while host.observer.counter("service.dispatch.pool") == pooled:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.005)
+                assert client.health() == {"ok": True}
+                time.sleep(0.2)
+                assert not pending.done()
+            assert pending.result(timeout=30)["count"] == 4
 
 
 class TestConcurrentClients:
-    def test_many_clients_hammering_while_descriptor_changes(self, service):
+    def _hammer(self, service, monkeypatch, ttl: float) -> dict[str, int]:
+        """Eight clients query while a descriptor changes under ``ttl``;
+        returns how many of their requests each dispatch path took."""
         client, host, addr, store = service
         valid = {4, 8}
         failures: list[str] = []
+        emit_threads: list[threading.Thread] = []
+        emit_ir = host.session.emit_ir
+
+        def recording_emit_ir(*args, **kwargs):
+            emit_threads.append(threading.current_thread())
+            return emit_ir(*args, **kwargs)
+
+        monkeypatch.setattr(host.session, "emit_ir", recording_emit_ir)
+        client.query("SynthSys", "//core")
+        paths = ("service.dispatch.inline", "service.dispatch.pool")
+        before = {k: host.observer.counter(k) for k in paths}
+        requests = host.observer.counter("service.requests")
 
         def hammer(_i: int) -> None:
             local = ServiceClient(*addr)
@@ -201,8 +436,11 @@ class TestConcurrentClients:
                     failures.append(f"torn count {body['count']}")
                     return
 
-        # flush the TTL so edits are probed per request during the hammer
-        host.reload_ttl_s = 0.0
+        # shorten the TTL so edits are probed during the hammer, and the
+        # switch interval so threads interleave finely
+        host.reload_ttl_s = ttl
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
             with concurrent.futures.ThreadPoolExecutor(8) as pool:
                 futures = [pool.submit(hammer, i) for i in range(8)]
@@ -210,11 +448,35 @@ class TestConcurrentClients:
                 for f in futures:
                     f.result(timeout=60)
         finally:
+            sys.setswitchinterval(interval)
             host.reload_ttl_s = 60.0
             store.put("cpu.xpdl", CPU)
             host.session.invalidate()
         assert not failures, failures[:3]
-        assert host.stats()["inflight"] == 0
+        stats = host.stats()
+        assert stats["inflight"] == 0
+        assert all(row["refs"] == 0 for row in stats["hosted"])
+        assert host.observer.counter("service.requests") == requests + 8 * 15
+        # The loop never runs a toolchain stage, and every request is
+        # counted on exactly one path.
+        assert emit_threads and all(_in_pool(t) for t in emit_threads)
+        took = {k: host.observer.counter(k) - before[k] for k in paths}
+        assert sum(took.values()) == 8 * 15
+        return took
+
+    def test_many_clients_hammering_while_descriptor_changes(
+        self, service, monkeypatch
+    ):
+        took = self._hammer(service, monkeypatch, ttl=0.0)
+        assert took["service.dispatch.inline"] == 0
+
+    def test_hammering_with_a_short_ttl_while_descriptor_changes(
+        self, service, monkeypatch
+    ):
+        # Requests within the TTL of a check are answered on the loop
+        # (about a quarter of them on a 2-CPU host) while the rest
+        # revalidate in the pool.
+        self._hammer(service, monkeypatch, ttl=0.005)
 
     def test_responses_are_json_with_content_length(self, service):
         _, _, addr, _ = service

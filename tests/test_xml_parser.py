@@ -133,8 +133,9 @@ class TestErrors:
 
     def test_multiple_roots(self):
         sink = DiagnosticSink()
-        parse_xml("<a/><b/>", sink=sink)
-        assert any(d.code == "XML0020" for d in sink)
+        doc = parse_xml("<a/><b/><c/>", sink=sink)
+        assert [d.code for d in sink] == ["XML0020", "XML0020"]
+        assert doc.root.tag == "a"  # the first root stays
 
     def test_no_root(self):
         sink = DiagnosticSink()
