@@ -255,7 +255,9 @@ class IRModel:
         constants approximate CPython object headers for an
         :class:`IRNode` (+ its interned handle and index rows): ~200
         bytes of fixed overhead per node plus ~100 per attribute pair
-        plus the string payloads themselves.
+        plus the string payloads themselves.  The service charges its
+        memo of encoded node texts on top of this, a fixed allowance per
+        node (``repro.service.core.NODE_TEXT_BYTES``).
         """
         if self._image is not None:
             return 4096 + 3 * self._image.nbytes

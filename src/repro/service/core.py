@@ -33,11 +33,21 @@ Design points:
   notices an edit.  Responses are therefore always a consistent
   pre-edit or post-edit view, never a torn mix: every request pins
   exactly one immutable hosted entry for its whole lifetime.
+* **Render once** — a hosted entry memoizes each node's encoded JSON
+  text the first time a query lists it.  :func:`encode_body` turns a
+  payload into exactly ``json.dumps(payload, sort_keys=True).encode()``,
+  splicing those texts into every query's results instead of encoding
+  the nodes again; in-process callers still read the results as
+  :func:`handle_payload` dicts.
 * **Observability** — per-request latency histograms
   (``service.latency.<op>``), request/cache counters and an in-flight
   gauge on the host's :class:`~repro.obs.Observer`, merged through the
   standard ``snapshot()``/``merge()`` protocol and exposed by the
-  ``stats`` op (the daemon's ``/stats`` endpoint).
+  ``stats`` op (the daemon's ``/stats`` endpoint).  What a daemon
+  request records through :func:`~repro.obs.get_observer` (the
+  ``runtime.*`` query counters) lands there too, whether the event loop
+  (:meth:`ModelHost.handle_inline`) or a pool thread
+  (:meth:`ModelHost.handle_pooled`) answers it.
 
 Thread model: host state transitions (lease/build/evict/doctor) happen
 under one re-entrant lock; query evaluation runs outside it against the
@@ -51,10 +61,12 @@ that could mean running or waiting on a toolchain stage.
 
 from __future__ import annotations
 
+import json
 import logging
 import threading
 import time
 from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping
 
@@ -84,6 +96,12 @@ DEFAULT_ANALYSES = (
     "total_static_power",
 )
 
+#: Bytes charged per node of a hosted model for its memo of encoded node
+#: texts, at hosting time: about 110 bytes of text per node (the systems
+#: of ``xpdl gen --seed 7 --scale 40``), a 49-byte ``str`` header and the
+#: memo's 8-byte slot.
+NODE_TEXT_BYTES = 168
+
 #: Ops that only read a hosted model: once it is fresh they run no
 #: toolchain stage, so :meth:`ModelHost.handle_inline` may answer them.
 INLINE_OPS = ("query", "info", "analysis")
@@ -111,7 +129,15 @@ def _error_message(exc: XpdlError) -> str:
 
 @dataclass
 class HostedModel:
-    """One model resident in the host: IR + compiled index + context."""
+    """One model resident in the host: IR + compiled index + context.
+
+    ``texts`` is the memo of encoded node texts, indexed by node: slot
+    ``i`` holds ``json.dumps(handle_payload(h), sort_keys=True)`` for the
+    handle ``h`` of node ``i`` once a query has listed it, else ``None``.
+    It lives and dies with the entry (a reload or an edit hosts a new
+    entry), and ``size_bytes`` charges it :data:`NODE_TEXT_BYTES` per
+    node up front, on top of :meth:`~repro.ir.IRModel.approx_size_bytes`.
+    """
 
     identifier: str
     emit: EmitResult
@@ -122,13 +148,34 @@ class HostedModel:
     generation: int
     hits: int = 0
     refs: int = 0
+    texts: list[str | None] = field(init=False, repr=False)
     _ir_sha256: str | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        self.texts = [None] * len(self.ctx.ir)
 
     def ir_sha256(self) -> str:
         """SHA-256 of the serialized IR (lazy; cached per hosted entry)."""
         if self._ir_sha256 is None:
             self._ir_sha256 = self.emit.ir_sha256()
         return self._ir_sha256
+
+    def node_texts(self, handles: list[Any]) -> list[str]:
+        """The encoded text of each handle's node, rendering (through
+        :func:`handle_payload`) only the nodes not yet memoized.
+
+        Call it while holding a lease.  Two threads may fill one slot at
+        once: both write the same text, so the memo takes no lock.
+        """
+        memo = self.texts
+        out = []
+        for h in handles:
+            i = h.index
+            text = memo[i]
+            if text is None:
+                text = memo[i] = json.dumps(handle_payload(h), sort_keys=True)
+            out.append(text)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +187,69 @@ class HostedModel:
 def handle_payload(handle: Any) -> dict[str, Any]:
     """JSON-safe view of one runtime handle."""
     return {"kind": handle.kind, "attrs": handle.attrs()}
+
+
+class NodeResults(Sequence):
+    """A query payload's ``results``: the matched nodes' memoized texts.
+
+    :func:`encode_body` splices :attr:`texts`; an in-process caller
+    reading it gets the :func:`handle_payload` dict of each node, built
+    on first access.
+    """
+
+    __slots__ = ("texts", "_handles", "_payloads")
+
+    def __init__(self, handles: list[Any], texts: list[str]) -> None:
+        self.texts = texts
+        self._handles = handles
+        self._payloads: list[dict[str, Any]] | None = None
+
+    def _dicts(self) -> list[dict[str, Any]]:
+        if self._payloads is None:
+            self._payloads = [handle_payload(h) for h in self._handles]
+        return self._payloads
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+    def __getitem__(self, i):
+        return self._dicts()[i]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return self._dicts() == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(self._dicts())
+
+
+#: What ``json.dumps`` writes for a ``str`` (``ensure_ascii`` is its default).
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _encode(value: Any) -> str:
+    kind = type(value)
+    if kind is NodeResults:
+        return "[" + ", ".join(value.texts) + "]"
+    if kind is str:
+        return _encode_str(value)
+    if kind is int:
+        return repr(value)
+    if kind is dict and "results" in value:  # a query or batch payload
+        return "{" + ", ".join(
+            [f"{_encode_str(k)}: {_encode(v)}" for k, v in sorted(value.items())]
+        ) + "}"
+    if kind is list:  # a batch's sub-results
+        return "[" + ", ".join(map(_encode, value)) + "]"
+    return json.dumps(value, sort_keys=True)
+
+
+def encode_body(payload: Mapping[str, Any]) -> bytes:
+    """The JSON body of a reply: ``json.dumps(payload, sort_keys=True)``
+    encoded, byte for byte, with every query's results (a batch's too)
+    spliced from the nodes' memoized texts."""
+    return _encode(payload).encode()
 
 
 def format_query_results(results: list[Mapping[str, Any]]) -> str:
@@ -362,6 +472,9 @@ class ModelHost:
                     raise ServiceError(
                         _error_message(exc), status=404
                     ) from exc
+            # A build can outlast the TTL: stamp what it returned with the
+            # clock read after it, so it arrives fresh.
+            now = time.monotonic()
             # The emit_ir call may have fired the invalidation hook and
             # dropped the stale entry; re-read before deciding.
             entry = self._models.get(identifier)
@@ -382,7 +495,8 @@ class ModelHost:
                 identifier=identifier,
                 emit=result,
                 ctx=ctx,
-                size_bytes=result.ir.approx_size_bytes(),
+                size_bytes=result.ir.approx_size_bytes()
+                + NODE_TEXT_BYTES * len(ctx.ir),
                 built_at=now,
                 checked_at=now,
                 generation=self._generation,
@@ -498,16 +612,34 @@ class ModelHost:
         try:
             return 200, self.dispatch(request)
         except ServiceError as exc:
-            self.observer.count("service.errors")
-            return exc.status, {"error": str(exc), "status": exc.status}
+            status, message = exc.status, str(exc)
         except XpdlError as exc:
-            self.observer.count("service.errors")
-            return 400, {"error": _error_message(exc), "status": 400}
+            status, message = 400, _error_message(exc)
         except Exception as exc:
             _log.exception("internal error serving %r", request.get("op"))
-            self.observer.count("service.errors")
+            status = 500
             message = f"internal error: {type(exc).__name__}: {exc}"
-            return 500, {"error": message, "status": 500}
+        with self._lock:
+            self.observer.count("service.errors")
+        return status, {"error": message, "status": status}
+
+    def handle_pooled(
+        self, request: Mapping[str, Any]
+    ) -> tuple[int, dict[str, Any]]:
+        """:meth:`handle` on a worker thread, the ``xpdl serve`` thread
+        pool's entry point.
+
+        What the request records through :func:`~repro.obs.get_observer`
+        (the ``runtime.*`` query counters) goes to a scratch observer,
+        merged into :attr:`observer` under the lock when the request ends,
+        so no counter update races the event loop's.
+        """
+        scratch = Observer()
+        with use_observer(scratch):
+            answer = self.handle(request)
+        with self._lock:
+            self.observer.merge(scratch.snapshot())
+        return answer
 
     def handle_inline(
         self, request: Mapping[str, Any]
@@ -521,7 +653,8 @@ class ModelHost:
         freshness clock read once, so an answered request neither runs a
         toolchain stage nor waits on one that another thread runs: the
         ``xpdl serve`` event loop answers hot requests this way and sends
-        the rest to its thread pool.
+        the rest to its thread pool (:meth:`handle_pooled`).  Under the
+        lock, :attr:`observer` is the active observer for the request.
         """
         models = _inline_models(request)
         if models is None or not self._lock.acquire(blocking=False):
@@ -532,7 +665,8 @@ class ModelHost:
                 return None
             self._inline_now = now
             try:
-                return self.handle(request)
+                with use_observer(self.observer):
+                    return self.handle(request)
             finally:
                 self._inline_now = None
         finally:
@@ -576,14 +710,14 @@ class ModelHost:
                 handles = query_all(entry.ctx, path)
             except QueryError as exc:
                 raise ServiceError(str(exc), status=400) from exc
-            results = [handle_payload(h) for h in handles]
+            texts = entry.node_texts(handles)
         finally:
             self._release(entry)
         return {
             "model": model,
             "path": path,
-            "count": len(results),
-            "results": results,
+            "count": len(texts),
+            "results": NodeResults(handles, texts),
         }
 
     def _op_info(self, request: Mapping[str, Any]) -> dict[str, Any]:
@@ -650,7 +784,8 @@ class ModelHost:
             # Error bodies carry their own "status" field.
             _status, body = self.handle(sub)
             results.append(body)
-        self.observer.count("service.batched", len(requests))
+        with self._lock:
+            self.observer.count("service.batched", len(requests))
         return {"count": len(results), "results": results}
 
     def _op_stats(self, request: Mapping[str, Any]) -> dict[str, Any]:

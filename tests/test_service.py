@@ -2,22 +2,28 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import threading
+import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
 from repro.obs import Observer
 from repro.repository import MemoryStore, ModelRepository
+from repro.runtime import query_all
 from repro.service import (
     ModelHost,
     ServiceError,
     format_info,
     format_query_results,
+    handle_payload,
     info_payload,
     merged_doctor_report,
 )
+from repro.service.core import NODE_TEXT_BYTES, encode_body
 from repro.toolchain import ToolchainSession
 
 CPU_V1 = (
@@ -440,3 +446,173 @@ class TestRepositoryErrors:
         host = ModelHost(session=session, reload_ttl_s=0.0)
         assert host.session is session
         assert query_count(host, "SynthSys", "//core") == 4
+
+
+def _char_refs(text: str) -> str:
+    """``text`` as an XML attribute value: every character but ASCII
+    letters and digits written as a character reference."""
+    return "".join(
+        c if c.isascii() and c.isalnum() else f"&#{ord(c)};" for c in text
+    )
+
+
+def _parent_payload(host: ModelHost, request: dict) -> dict:
+    """The payload of ``request`` built the way the host built it before
+    node texts were memoized: a query's results are fresh
+    :func:`handle_payload` dicts."""
+    if request["op"] == "batch":
+        results = [_parent_payload(host, sub) for sub in request["requests"]]
+        return {"count": len(results), "results": results}
+    status, body = host.handle(request)
+    if request["op"] != "query" or status != 200:
+        return body
+    with host.lease(request["model"]) as entry:
+        handles = query_all(entry.ctx, request["path"])
+    return {
+        "model": request["model"],
+        "path": request["path"],
+        "count": len(handles),
+        "results": [handle_payload(h) for h in handles],
+    }
+
+
+#: Any character but NUL and the surrogates.
+_CHARS = st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00")
+
+
+class TestRendering:
+    """Replies splice memoized node texts, byte-identical to encoding the
+    payload the parent's way."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        notes=st.lists(st.text(_CHARS, max_size=8), min_size=1, max_size=3),
+        model=st.text(st.sampled_from("Sy'\"\\\u00e9\u65e5 </&"), max_size=6),
+        literal=st.text(st.sampled_from("ab\"\\\u00e9\u20ac\n"), max_size=4),
+    )
+    def test_encoded_body_is_json_dumps_of_the_parent_payload(
+        self, notes, model, literal
+    ):
+        cores = "".join(
+            f"<core name='c{i}' note='{_char_refs(n)}'/>" for i, n in enumerate(notes)
+        )
+        system = (
+            f"<system id='Sys{_char_refs(model)}'><node>"
+            "<cpu id='PE0' type='NoteCpu'/></node></system>"
+        )
+        host, _ = make_host(
+            {"cpu.xpdl": f"<cpu name='NoteCpu'>{cores}</cpu>", "sys.xpdl": system},
+            reload_ttl_s=60.0,
+        )
+        ident = f"Sys{model}"
+        queries = [
+            {"op": "query", "model": ident, "path": path}
+            for path in (
+                "//core",
+                "//*",
+                "//nothing",  # no results
+                f"//core[@name='{literal}']",  # a path that needs escaping
+            )
+        ]
+        batch = {
+            "op": "batch",
+            "requests": [
+                *queries,
+                {"op": "info", "model": ident},
+                {"op": "analysis", "model": ident},
+                {"op": "query", "model": "nope", "path": "//core"},  # 404
+                {"op": "query", "model": ident, "path": "((("},  # 400
+            ],
+        }
+        for request in [*queries, batch, *queries]:  # memo cold, then warm
+            status, body = host.handle(request)
+            assert status == 200, body
+            oracle = _parent_payload(host, request)
+            assert encode_body(body) == json.dumps(oracle, sort_keys=True).encode()
+            # In process a query's results still read as handle_payload
+            # dicts, attributes in document order.
+            pairs = (
+                zip(body["results"], oracle["results"])
+                if request["op"] == "batch"
+                else [(body, oracle)]
+            )
+            for got, want in pairs:
+                if isinstance(want.get("results"), list):
+                    assert got["results"] == want["results"]
+                    assert [list(r["attrs"]) for r in got["results"]] == [
+                        list(r["attrs"]) for r in want["results"]
+                    ]
+
+    def test_other_payloads_encode_like_json_dumps(self):
+        host, _ = make_host()
+        for request in (
+            {"op": "info", "model": "SynthSys"},
+            {"op": "analysis", "model": "SynthSys"},
+            {"op": "compose", "model": "SynthSys"},
+            {"op": "doctor"},
+            {"op": "models"},
+            {"op": "query", "model": "nope", "path": "//core"},
+        ):
+            _, body = host.handle(request)
+            assert encode_body(body) == json.dumps(body, sort_keys=True).encode()
+
+
+class TestNodeTextMemo:
+    """Each hosted entry renders a node once; the memo goes with it."""
+
+    def _counting_renders(self, monkeypatch) -> list:
+        rendered: list = []
+
+        def counting(handle):
+            rendered.append(handle)
+            return handle_payload(handle)
+
+        monkeypatch.setattr("repro.service.core.handle_payload", counting)
+        return rendered
+
+    def test_a_node_is_rendered_once_per_hosted_entry(self, monkeypatch):
+        host, _ = make_host(reload_ttl_s=60.0)
+        rendered = self._counting_renders(monkeypatch)
+        query = {"op": "query", "model": "SynthSys", "path": "//core"}
+        _, first = host.handle(query)
+        assert len(rendered) == 4
+        _, again = host.handle(query)
+        host.handle({"op": "batch", "requests": [query, query]})
+        assert len(rendered) == 4  # served from the memo
+        assert encode_body(again) == encode_body(first)
+        with host.lease("SynthSys") as entry:
+            assert entry.size_bytes == (
+                entry.emit.ir.approx_size_bytes()
+                + NODE_TEXT_BYTES * len(entry.ctx.ir)
+            )
+
+    def test_an_edit_past_the_ttl_never_serves_an_old_text(self):
+        host, store = make_host()  # ttl 0: every request probes the edit
+        query = {"op": "query", "model": "SynthSys", "path": "//core"}
+        _, before = host.handle(query)
+        assert b'"frequency": "2"' in encode_body(before)
+        store.put("cpu.xpdl", CPU_V1.replace("frequency='2'", "frequency='3'"))
+        for _ in range(3):
+            _, after = host.handle(query)
+            body = encode_body(after)
+            assert body.count(b'"frequency": "3"') == 4
+            assert b'"frequency": "2"' not in body
+
+    def test_reload_and_eviction_drop_the_memo(self, monkeypatch):
+        host, store = TestEviction()._two_system_host(max_model_bytes=10_000)
+        rendered = self._counting_renders(monkeypatch)
+        query = {"op": "query", "model": "SynthSys", "path": "//core"}
+        host.handle(query)
+        entry = weakref.ref(host._models["SynthSys"])
+        assert len(rendered) == 4
+        store.put("cpu.xpdl", CPU_V2)  # reload: a new entry renders anew
+        host.handle(query)
+        gc.collect()
+        assert entry() is None and len(rendered) == 4 + 8
+        entry = weakref.ref(host._models["SynthSys"])
+        host.handle({"op": "query", "model": "SynthSysB", "path": "//core"})
+        assert host.hosted_identifiers() == ["SynthSysB"]  # evicted
+        gc.collect()
+        assert entry() is None
+        host.handle(query)
+        assert len(rendered) == 4 + 8 + 8 + 8

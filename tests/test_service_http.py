@@ -29,6 +29,7 @@ from repro.service import (
     XpdlHttpServer,
     format_query_results,
 )
+from repro.service import http
 
 CPU = (
     "<cpu name='SynthCpu'>"
@@ -211,6 +212,7 @@ class TestRouting:
         )
         with pytest.raises(urllib.error.HTTPError) as exc_info:
             urllib.request.urlopen(req, timeout=10)
+        exc_info.value.close()
         assert exc_info.value.code == 400
 
 
@@ -501,6 +503,248 @@ class TestConcurrentClients:
         assert headers[b"Content-Type"] == b"application/json"
         assert int(headers[b"Content-Length"]) == len(body)
         json.loads(body)
+
+
+def _get(target: str, *headers: str) -> bytes:
+    lines = [f"GET {target} HTTP/1.1", "Host: x", *headers, "", ""]
+    return "\r\n".join(lines).encode()
+
+
+def _post(route: str, payload) -> bytes:
+    body = json.dumps(payload).encode()
+    head = f"POST {route} HTTP/1.1\r\nHost: x\r\nContent-Length: {len(body)}\r\n\r\n"
+    return head.encode() + body
+
+
+def _read_replies(sock: socket.socket, n: int) -> tuple[list, bytes]:
+    """Read ``n`` replies off ``sock``: ``([(status, headers, body)],
+    bytes received past the last one)``."""
+    buf = bytearray()
+    replies: list = []
+    while len(replies) < n:
+        end = buf.find(b"\r\n\r\n")
+        if end >= 0:
+            status_line, *lines = buf[:end].decode("latin-1").split("\r\n")
+            headers = dict(line.split(": ", 1) for line in lines)
+            stop = end + 4 + int(headers["Content-Length"])
+            if len(buf) >= stop:
+                replies.append(
+                    (int(status_line.split()[1]), headers, bytes(buf[end + 4 : stop]))
+                )
+                del buf[:stop]
+                continue
+        data = sock.recv(1 << 16)
+        assert data, f"connection closed after {len(replies)} of {n} replies"
+        buf += data
+    return replies, bytes(buf)
+
+
+def _dispatched(host: ModelHost) -> tuple[int, int]:
+    """(inline, pooled) requests so far."""
+    counter = host.observer.counter
+    return counter("service.dispatch.inline"), counter("service.dispatch.pool")
+
+
+class TestConnectionFlow:
+    """The Protocol front: request order, partial reads, back-pressure."""
+
+    def test_pooled_reply_precedes_the_hot_ones_behind_it(self, fresh, monkeypatch):
+        client, host, addr, _ = fresh
+        client.info("SynthSys")  # hosted: the queries below are hot
+        compose = host._OPS["compose"]
+
+        def slow_compose(self, request):
+            time.sleep(0.2)
+            return compose(self, request)
+
+        monkeypatch.setattr(host, "_OPS", dict(host._OPS, compose=slow_compose))
+        inline, pooled = _dispatched(host)
+        with socket.create_connection(addr, timeout=10) as sock:
+            sock.sendall(
+                _post("/compose", {"model": "SynthSys"})
+                + _get("/query?model=SynthSys&path=//core")
+                + _get("/info?model=SynthSys")
+            )
+            replies, rest = _read_replies(sock, 3)
+        assert rest == b""
+        assert [status for status, _, _ in replies] == [200, 200, 200]
+        composed, queried, info = (json.loads(body) for _, _, body in replies)
+        assert "ir_sha256" in composed
+        assert queried["count"] == 4 and info["cores"] == 4
+        assert _dispatched(host) == (inline + 2, pooled + 1)
+
+    def test_half_closing_client_gets_every_reply(self, fresh):
+        _, _, addr, _ = fresh
+        raw = _raw(
+            addr,
+            _get("/query?model=SynthSys&path=//core")  # cold: pooled
+            + _get("/healthz")
+            + _get("/info?model=SynthSys"),
+        )
+        assert raw.count(b"HTTP/1.1 200 OK") == 3
+        assert raw.endswith(b'"system": "SynthSys"}')
+
+    def test_request_sent_one_byte_per_send_parses(self, service):
+        _, _, addr, _ = service
+        request = _post("/query", {"model": "SynthSys", "path": "//core"})
+        with socket.create_connection(addr, timeout=10) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for i in range(len(request)):
+                sock.sendall(request[i : i + 1])
+                time.sleep(0.001)
+            [(status, _, body)], rest = _read_replies(sock, 1)
+        assert status == 200 and rest == b""
+        assert json.loads(body)["count"] == 4
+
+    def test_connection_close_after_a_pooled_request(self, fresh):
+        _, host, addr, _ = fresh
+        with socket.create_connection(addr, timeout=10) as sock:
+            sock.sendall(
+                _get("/query?model=SynthSys&path=//core", "Connection: close")
+            )
+            [(status, headers, _)], rest = _read_replies(sock, 1)
+            assert sock.recv(1) == b""  # closed by the server
+        assert status == 200 and rest == b""
+        assert headers["Connection"] == "close"
+        assert _dispatched(host) == (0, 1)
+
+    @pytest.mark.parametrize(
+        "partial",
+        [
+            b"GET /query?model=SynthSys",
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\n",
+            b"POST /query HTTP/1.1\r\nContent-Length: 40\r\n\r\n{\"model\"",
+        ],
+    )
+    def test_eof_mid_request_closes_quietly(self, service, partial, caplog):
+        _, _, addr, _ = service
+        with caplog.at_level(logging.ERROR):
+            assert _raw(addr, partial) == b""
+            assert ServiceClient(*addr).health() == {"ok": True}
+        assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
+
+    def test_pipelined_burst_is_answered_in_order_under_back_pressure(
+        self, monkeypatch
+    ):
+        big_cpu = CPU.replace("quantity='4'", "quantity='2500'")
+        host = ModelHost(
+            ModelRepository([MemoryStore({"cpu.xpdl": big_cpu, "sys.xpdl": SYSTEM})]),
+            reload_ttl_s=60.0,
+        )
+        # Per read, whether writing was paused; per reply, the transport's
+        # write buffer after it.
+        reads: list[bool] = []
+        buffered: list[int] = []
+        data_received, reply = http._Connection.data_received, http._Connection._reply
+
+        def recording_read(self, data):
+            reads.append(self._write_paused)
+            data_received(self, data)
+
+        def recording_reply(self, response, keep_alive):
+            reply(self, response, keep_alive)
+            buffered.append(self.transport.get_write_buffer_size())
+
+        monkeypatch.setattr(http._Connection, "data_received", recording_read)
+        monkeypatch.setattr(http._Connection, "_reply", recording_reply)
+        paths = ["//core", "//cpu//core", "//node//core"]
+        sent = [paths[i % len(paths)] for i in range(50)]
+        with _serving(host) as (addr, _thread):
+            ServiceClient(*addr).info("SynthSys")
+            with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
+                # A small receive window: the 13 MB of replies cannot sit
+                # in the kernel's buffers.
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 32 * 1024)
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                sock.settimeout(30)
+                sock.connect(addr)
+                for path in sent:  # most arrive after writing has backed up
+                    sock.sendall(_get(f"/query?model=SynthSys&path={path}"))
+                    time.sleep(0.005)
+                replies, rest = _read_replies(sock, len(sent))
+        assert rest == b""
+        bodies = [json.loads(body) for _, _, body in replies]
+        assert [b["path"] for b in bodies] == sent
+        assert all(b["count"] == 2500 for b in bodies)
+        # Writing backed up, and meanwhile the server neither read nor
+        # answered: it did not buffer the burst's requests or replies.
+        reply_bytes = max(len(body) for _, _, body in replies) + 200
+        assert max(buffered) > 64 * 1024
+        assert max(buffered) < 64 * 1024 + 2 * reply_bytes
+        assert reads and not any(reads)
+
+
+    def test_a_pipelining_client_does_not_starve_another(self, service, monkeypatch):
+        client, _, addr, _ = service
+        client.info("SynthSys")  # hosted: every request below is hot
+        answered: list = []  # the connection of each reply, in order
+        reply = http._Connection._reply
+
+        def recording(self, response, keep_alive):
+            answered.append(self)
+            reply(self, response, keep_alive)
+
+        monkeypatch.setattr(http._Connection, "_reply", recording)
+        burst = 500
+        with socket.create_connection(addr, timeout=10) as a, socket.create_connection(
+            addr, timeout=10
+        ) as b:
+            a.sendall(_get("/info?model=SynthSys") * burst)
+            b.sendall(_get("/healthz"))
+            _read_replies(b, 1)
+            _read_replies(a, burst)
+        [lone] = [conn for conn in set(answered) if answered.count(conn) == 1]
+        assert answered.index(lone) < burst // 2
+
+
+class TestHostObserver:
+    def test_runtime_counters_count_every_query(self):
+        systems = {f"s{i}.xpdl": SYSTEM.replace("SynthSys", f"Sys{i}") for i in range(4)}
+        store = MemoryStore({"cpu.xpdl": CPU, **systems})
+        host = ModelHost(ModelRepository([store]), reload_ttl_s=60.0)
+        answered: list = []
+
+        def hammer(i: int) -> None:
+            local = ServiceClient(*addr)
+            for k in range(6):
+                answered.append(local.query(f"Sys{(i + k) % 4}", "//core")["results"])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with _serving(host) as (addr, _thread):
+                # cold models, then every request revalidating in the pool,
+                # then a short TTL mixing both paths, then all hot
+                for ttl in (60.0, 0.0, 0.005, 60.0):
+                    host.reload_ttl_s = ttl
+                    with concurrent.futures.ThreadPoolExecutor(8) as pool:
+                        for f in [pool.submit(hammer, i) for i in range(8)]:
+                            f.result(timeout=60)
+                counters = ServiceClient(*addr).stats()["observer"]["counters"]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(answered) == 4 * 8 * 6
+        assert all(results == answered[0] for results in answered)  # one memo text per node
+        assert [r["attrs"]["id"] for r in answered[0]] == [f"core{i}" for i in range(4)]
+        assert counters["runtime.queries"] == len(answered)
+        assert counters["service.dispatch.inline"] > 0
+        assert counters["service.dispatch.pool"] > 4 * 8 * 6 / 4
+
+    def test_a_slow_build_arrives_fresh(self, fresh, monkeypatch):
+        client, host, _, _ = fresh
+        host.reload_ttl_s = 1.0
+        emit_ir = host.session.emit_ir
+
+        def slow_emit_ir(*args, **kwargs):
+            time.sleep(1.1)  # a build that outlasts the TTL
+            return emit_ir(*args, **kwargs)
+
+        monkeypatch.setattr(host.session, "emit_ir", slow_emit_ir)
+        client.query("SynthSys", "//core")  # cold: built in the pool
+        inline, _ = _dispatched(host)
+        client.query("SynthSys", "//core")
+        assert _dispatched(host)[0] == inline + 1
+        assert host.observer.counter("service.model.revalidations") == 0
 
 
 class TestServeProcess:
