@@ -34,7 +34,7 @@ def _resolve_report(spec: str) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m benchmarks",
-        description="toolchain benchmark harness (cold/warm/parallel builds)",
+        description="toolchain benchmark harness (the sections of benchmarks/harness.py)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -57,7 +57,7 @@ def main(argv: list[str] | None = None) -> int:
         type=float,
         default=MAX_REGRESS,
         metavar="FRACTION",
-        help=f"allowed warm-build slowdown (default {MAX_REGRESS})",
+        help=f"allowed regression of each baseline gate (default {MAX_REGRESS})",
     )
 
     args = parser.parse_args(argv)

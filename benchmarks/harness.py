@@ -1,74 +1,71 @@
 """The benchmark harness behind ``python -m benchmarks`` (run from repo root).
 
 Converts the ad-hoc experiment scripts' role of "how fast is the
-toolchain" into a repeatable, CI-gateable measurement.  ``run`` builds
-the modellib corpus three ways through :func:`repro.toolchain.run_batch`
-and emits one ``BENCH_<rev>.json``:
-
-* **cold** — fresh persistent cache, sequential: the worst case;
-* **warm** — same cache directory again: everything should come from the
-  persistent stage cache (hit rate >= 0.9 is an acceptance criterion);
-* **parallel** — fresh cache, ``--jobs N`` fan-out: the scaling case.
+toolchain" into a repeatable, CI-gateable measurement.  The report is
+made of the sections declared once in :data:`SECTIONS`.  Each
+:class:`Section` entry names its report key, its ``run`` function (which
+receives the report built so far), its gates and its summary lines;
+:func:`run_bench`, :func:`compare`, :func:`skipped_gates` and
+:func:`summarize` are loops over that table.  ``run`` emits one
+``BENCH_<rev>.json``; ``compare`` gates it against a committed baseline.
 
 Wall-clock numbers are machine-dependent, so each report also carries a
 ``calibration_s`` — the time of a fixed pure-Python spin measured on the
-same host — and every phase's ``norm_wall`` (wall / calibration).
-``compare`` gates on the *normalized* warm build time against a
-committed baseline JSON, which keeps the CI regression check meaningful
-across runner generations, plus the warm hit-rate floor.
+same host — and every timing is normalized by it (``norm_wall`` is wall
+/ calibration, ``norm_qps`` is rate x calibration).  Gating normalized
+numbers keeps the CI regression check meaningful across runner
+generations.
 
-Each report also carries a ``queries`` section — runtime query API
-throughput (queries/s and calibration-normalized ``norm_qps``) on the
-composed liu_gpu_server model for the paper's Sec. IV categories
-(getter, browse, by_id, path, analysis), plus the *naive* uncompiled
-path/analysis evaluators for comparison.  ``compare`` gates the
-normalized throughputs against the baseline and enforces the compiled
-engine's speedup floor over the naive evaluators.
+The sections, in run order:
 
-The ``scale`` section runs the toolchain over a *generated* corpus
-(``repro.corpus``, seed/scale fixed in :data:`SCALE_BENCH_SEED` /
-:data:`SCALE_BENCH_SCALE`): generator throughput, cold/warm/parallel
-batch builds of the synthetic systems, and a cold doctor pass.
-``compare`` gates batch-build and doctor normalized walls against the
-baseline and enforces the structural invariants — digest-stable
-generation, byte-identical parallel builds, zero doctor errors.
+* **build** (top-level ``phases``) — the modellib corpus built three
+  ways through :func:`repro.toolchain.run_batch`: *cold* (fresh
+  persistent cache, sequential: the worst case), *warm* (same cache
+  directory again: everything should come from the persistent stage
+  cache) and *parallel* (fresh cache, ``--jobs N`` fan-out);
+* **queries** — runtime query API throughput on the composed
+  liu_gpu_server model for the paper's Sec. IV categories (getter,
+  browse, by_id, path, analysis), plus the *naive* uncompiled
+  path/analysis evaluators, so reports document the compiled engine's
+  speedup on the same host;
+* **serve** — the ``xpdl serve`` hot path in-process:
+  :class:`repro.service.ModelHost` dispatch throughput once the model's
+  ``IRIndex`` is hosted;
+* **cold_init** — model open from a persisted v2 index image against a
+  from-scratch open, on the corpus and on synthetic models;
+* **scale** — the toolchain over a *generated* corpus (``repro.corpus``,
+  seed/scale fixed in :data:`SCALE_BENCH_SEED` /
+  :data:`SCALE_BENCH_SCALE`): generator throughput, cold/warm/parallel
+  batch builds of the synthetic systems, and a cold doctor pass;
+* **fleet** — the discrete-interval fleet simulator (``repro.fleet``)
+  over a small generated cluster: a seeded diurnal trace through every
+  DVFS governor policy, per-policy energy/SLO and the simulation rate;
+* **sweep** (schema 7) — the full (policy, trace, seed) grid sharded
+  through ``repro.fleet.run_sweep`` at ``jobs=1`` and ``jobs=4``.
 
-The ``serve`` section measures the ``xpdl serve`` hot path in-process:
-:class:`repro.service.ModelHost` dispatch throughput once the model's
-``IRIndex`` is hosted (single requests, 32-request batches, and a
-4-thread hammer).  ``compare`` enforces the acceptance criterion that a
-hot service query stays within :data:`MAX_SERVE_DISPATCH_SLOWDOWN` of
-raw compiled path-query throughput and that the bench never rebuilt the
-hosted index (``index_builds == 1`` — no recompile per request).
-
-The ``fleet`` section runs the discrete-interval fleet simulator
-(``repro.fleet``) over a small generated cluster: a seeded diurnal trace
-through every DVFS governor policy, reporting per-policy energy/SLO and
-the simulation rate (machine-intervals/s).  ``compare`` gates the
-normalized rate against the baseline and enforces the structural
-invariants — byte-identical reports across re-runs, ``powersave`` never
-costing more energy than ``performance``, and ``ondemand`` saving energy
-at equal SLO attainment on the diurnal shape.
-
-The ``sweep`` section (schema 7) shards the full (policy, trace, seed)
-grid through ``repro.fleet.run_sweep`` at ``jobs=1`` and ``jobs=4``:
-grid wall, cells/s and the parallel speedup, plus the ``fleet``
-section's single-cell rate floored against the frozen schema-6
-cursor-engine constant.  ``compare`` enforces byte-identical reports
-across job counts, the >= 2x speedup floor (only on hosts with >= 4
-CPUs), and both throughput floors.
+Each :class:`Gate` compares one value of a section with a bound: a flag
+or a count that must equal a constant; a floor or a ceiling against a
+constant, also on the ratio of two measured rates; a floor or a ceiling
+against the baseline (a :class:`Baseline` bound), widened by
+``max_regress`` plus the gate's own tolerance; or, for the fleet
+physics, another measured value.  A key a gate reads that the current
+report lacks is a problem, never an exception.  A gate the host cannot
+run (the sweep speedup needs >= 4 CPUs) adds no problem and is named by
+:func:`skipped_gates` instead.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import os
 import platform
 import subprocess
 import sys
 import tempfile
 import time
-from typing import Any, Sequence
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Sequence
 
 BENCH_SCHEMA = 7
 
@@ -212,9 +209,28 @@ def _rate(
     return best
 
 
-def run_query_bench(
-    calibration_s: float, *, system: str = QUERY_BENCH_SYSTEM
+def _normalized(
+    rates: dict[str, float], key: str, calibration_s: float
 ) -> dict[str, Any]:
+    """``{name: {key: rate, "norm_<key>": rate x calibration}}`` per rate."""
+    return {
+        name: {key: round(r, 1), f"norm_{key}": round(r * calibration_s, 3)}
+        for name, r in rates.items()
+    }
+
+
+@dataclass(frozen=True)
+class RunArgs:
+    """What :func:`run_bench` hands each section's ``run``."""
+
+    calibration_s: float
+    jobs: int
+    cache_dir: str | None
+    identifiers: Sequence[str] | None
+    include: Sequence[str]
+
+
+def run_query_bench(report: dict[str, Any], args: RunArgs) -> dict[str, Any]:
     """Measure runtime query API throughput per Sec. IV category.
 
     Returns ``{category: {"qps", "norm_qps"}}`` plus an ``elements``
@@ -228,6 +244,7 @@ def run_query_bench(
     from repro.runtime import query_all, query_all_naive, xpdl_init_from_model
     from repro.units import POWER, read_metric
 
+    system = QUERY_BENCH_SYSTEM
     composed = Composer(standard_repository()).compose(system)
     ctx = xpdl_init_from_model(
         IRModel.from_model(composed.root, {"system": system})
@@ -287,17 +304,11 @@ def run_query_bench(
         "analysis": analysis,
         "analysis_naive": analysis_naive,
     }
-    measured: dict[str, Any] = {}
-    for name, fn in categories.items():
-        qps = _rate(fn)
-        measured[name] = {
-            "qps": round(qps, 1),
-            "norm_qps": round(qps * calibration_s, 3),
-        }
+    rates = {name: _rate(fn) for name, fn in categories.items()}
     return {
         "system": system,
         "elements": len(ctx.ir),
-        "categories": measured,
+        "categories": _normalized(rates, "qps", args.calibration_s),
     }
 
 
@@ -336,15 +347,13 @@ def _synthetic_ir(nodes: int):
     return IRModel(out, {"system": f"synthetic-{nodes}"})
 
 
-def run_cold_init_bench(
-    calibration_s: float, *, system: str = QUERY_BENCH_SYSTEM
-) -> dict[str, Any]:
+def run_cold_init_bench(report: dict[str, Any], args: RunArgs) -> dict[str, Any]:
     """Measure cold model-open latency with and without a persisted index.
 
-    Serializes the composed ``system`` two ways — v2 image with index
-    sections, and core-only (the same records without them, so its open
-    pays the index build a warm open skips: the from-scratch reference)
-    — and times a full :func:`repro.runtime.query.xpdl_init` open of
+    Serializes the composed :data:`QUERY_BENCH_SYSTEM` two ways — v2
+    image with index sections, and core-only (the same records without
+    them, so its open pays the index build a warm open skips: the
+    from-scratch reference) — and times a full :func:`repro.runtime.query.xpdl_init` open of
     each (best of 5), plus an mmap-free ``from_bytes`` open of the
     indexed image to isolate the mmap win.  Counters from the mmap open document that a warm reopen
     does *zero* index construction (``rebuilds`` must be 0).  A scaling
@@ -359,6 +368,7 @@ def run_cold_init_bench(
     from repro.obs import Observer, use_observer
     from repro.runtime import xpdl_init, xpdl_init_from_model
 
+    system, calibration_s = QUERY_BENCH_SYSTEM, args.calibration_s
     composed = Composer(standard_repository()).compose(system)
     ir = IRModel.from_model(composed.root, {"system": system})
 
@@ -422,12 +432,7 @@ def run_cold_init_bench(
     return corpus
 
 
-def run_serve_bench(
-    calibration_s: float,
-    *,
-    system: str = QUERY_BENCH_SYSTEM,
-    raw_path_qps: float | None = None,
-) -> dict[str, Any]:
+def run_serve_bench(report: dict[str, Any], args: RunArgs) -> dict[str, Any]:
     """Measure model-service dispatch throughput (the ``xpdl serve`` path).
 
     Builds one :class:`repro.service.ModelHost` over the standard
@@ -437,13 +442,16 @@ def run_serve_bench(
     sub-requests/s), ``info`` (composition summary), and ``threads4``
     (aggregate of 4 threads hammering the query op through the
     lock/lease protocol).  ``index_builds`` documents that the hosted
-    index was compiled exactly once across all of it.
+    index was compiled exactly once across all of it, and
+    ``hot_fraction_of_raw_path`` relates the hot rate to the ``queries``
+    section's raw path-query rate.
     """
     import threading
 
     from repro.modellib import standard_repository
     from repro.service import ModelHost
 
+    system = QUERY_BENCH_SYSTEM
     host = ModelHost(standard_repository(), reload_ttl_s=60.0)
     query_req = {"op": "query", "model": system, "path": QUERY_BENCH_PATH}
 
@@ -459,7 +467,6 @@ def run_serve_bench(
         "requests": [dict(query_req) for _ in range(32)],
     }
 
-    measured: dict[str, Any] = {}
     rates = {
         "hot": _rate(lambda: host.dispatch(dict(query_req))),
         "batch32": _rate(lambda: host.dispatch(dict(batch_req))) * 32,
@@ -485,33 +492,70 @@ def run_serve_bench(
         w.join()
     rates["threads4"] = sum(counts) / (time.perf_counter() - t0)
 
-    for name, rps in rates.items():
-        measured[name] = {
-            "rps": round(rps, 1),
-            "norm_rps": round(rps * calibration_s, 3),
-        }
     counters = host.stats()["observer"]["counters"]
-    out: dict[str, Any] = {
+    raw_path_qps = report["queries"]["categories"]["path"]["qps"]
+    return {
         "system": system,
         "result_count": result_count,
         "cold_ms": round(cold_s * 1e3, 3),
         "index_builds": counters.get("service.model.builds", 0),
-        "categories": measured,
+        "categories": _normalized(rates, "rps", args.calibration_s),
+        "hot_fraction_of_raw_path": round(rates["hot"] / raw_path_qps, 4),
     }
-    if raw_path_qps:
-        out["hot_fraction_of_raw_path"] = round(
-            rates["hot"] / raw_path_qps, 4
+
+
+def _batch_phases(
+    include: Sequence[str], systems: list[str], cache_root: str, args: RunArgs
+) -> tuple[dict[str, Any], bool]:
+    """Build ``systems`` cold, warm (the same cache again) and in parallel.
+
+    Returns the three phases' dicts and whether the parallel build's IR
+    is byte-identical to the sequential one's.
+    """
+    from repro.modellib import standard_repository
+    from repro.toolchain import run_batch
+
+    phases: dict[str, Any] = {}
+    shas = []
+    for name, jobs, cache in (
+        ("cold", 1, "seq"), ("warm", 1, "seq"), ("parallel", args.jobs, "par")
+    ):
+        report = run_batch(
+            standard_repository(*include), systems, jobs=jobs,
+            cache_dir=os.path.join(cache_root, cache),
         )
-    return out
+        shas.append([b.ir_sha256 for b in report.builds])
+        phases[name] = {
+            "ok": report.ok,
+            "builds": len(report.builds),
+            "wall_s": round(report.wall_s, 6),
+            "norm_wall": round(report.wall_s / args.calibration_s, 4),
+            "models_per_s": round(report.models_per_s, 3),
+            "hit_rate": round(report.hit_rate, 4),
+            "cache": dict(report.cache),
+            "jobs": report.jobs,
+            "shards": len(report.shards),
+        }
+    return phases, shas[0] == shas[2]
 
 
-def run_scale_bench(
-    calibration_s: float,
-    *,
-    seed: int = SCALE_BENCH_SEED,
-    scale: int = SCALE_BENCH_SCALE,
-    jobs: int | None = None,
-) -> dict[str, Any]:
+def run_build_bench(report: dict[str, Any], args: RunArgs) -> dict[str, Any]:
+    """Measure cold/warm/parallel builds of the modellib corpus.
+
+    ``args.cache_dir=None`` uses a throwaway directory so benchmarking
+    never touches (or benefits from) a developer's real ``.xpdl-cache``.
+    """
+    from repro.modellib import standard_repository
+
+    corpus = list(args.identifiers or standard_repository(*args.include).systems())
+    with tempfile.TemporaryDirectory(prefix="xpdl-bench-") as scratch:
+        phases, ir_match = _batch_phases(
+            args.include, corpus, args.cache_dir or os.path.join(scratch, "cache"), args
+        )
+    return {"corpus": sorted(corpus), "ir_deterministic": ir_match, "phases": phases}
+
+
+def run_scale_bench(report: dict[str, Any], args: RunArgs) -> dict[str, Any]:
     """Measure the toolchain over a generated corpus (``xpdl gen``).
 
     Generates a seeded synthetic descriptor library, then measures:
@@ -525,10 +569,9 @@ def run_scale_bench(
     from repro.corpus import generate_corpus
     from repro.modellib import standard_repository
     from repro.service.core import merged_doctor_report
-    from repro.toolchain import ToolchainSession, default_jobs, run_batch
+    from repro.toolchain import ToolchainSession
 
-    jobs = jobs or default_jobs()
-
+    seed, scale, calibration_s = SCALE_BENCH_SEED, SCALE_BENCH_SCALE, args.calibration_s
     t0 = time.perf_counter()
     corpus = generate_corpus(seed, scale)
     gen_wall = time.perf_counter() - t0
@@ -538,20 +581,9 @@ def run_scale_bench(
     with tempfile.TemporaryDirectory(prefix="xpdl-scale-") as scratch:
         corpus_dir = os.path.join(scratch, "corpus")
         corpus.write_to(corpus_dir)
-        cache = os.path.join(scratch, "cache")
         systems = list(corpus.systems)
-
-        cold = run_batch(
-            standard_repository(corpus_dir), systems, jobs=1,
-            cache_dir=os.path.join(cache, "seq"),
-        )
-        warm = run_batch(
-            standard_repository(corpus_dir), systems, jobs=1,
-            cache_dir=os.path.join(cache, "seq"),
-        )
-        par = run_batch(
-            standard_repository(corpus_dir), systems, jobs=jobs,
-            cache_dir=os.path.join(cache, "par"),
+        phases, ir_match = _batch_phases(
+            [corpus_dir], systems, os.path.join(scratch, "cache"), args
         )
 
         session = ToolchainSession(standard_repository(corpus_dir))
@@ -559,16 +591,6 @@ def run_scale_bench(
         merged = merged_doctor_report(session, systems)
         doctor_wall = time.perf_counter() - t0
 
-    phases = {
-        "cold": _phase_dict(cold),
-        "warm": _phase_dict(warm),
-        "parallel": _phase_dict(par),
-    }
-    for phase in phases.values():
-        phase["norm_wall"] = round(phase["wall_s"] / calibration_s, 4)
-    ir_match = [b.ir_sha256 for b in cold.builds] == [
-        b.ir_sha256 for b in par.builds
-    ]
     return {
         "seed": seed,
         "scale": scale,
@@ -593,32 +615,23 @@ def run_scale_bench(
     }
 
 
-def run_fleet_bench(
-    calibration_s: float,
-    *,
-    seed: int = FLEET_BENCH_SEED,
-    scale: int = FLEET_BENCH_SCALE,
-) -> dict[str, Any]:
-    """Measure the fleet simulator (``xpdl fleet``) over a generated cluster.
+def _fleet_cluster() -> tuple[dict[str, Any], Any, Any]:
+    """The generated cluster the fleet benches drive: its report keys
+    (system, seed, scale, machines), its testbed and its state catalog.
 
-    Generates a seeded corpus, composes its first system into a
-    :class:`repro.simhw.SimTestbed`, compiles the runtime index for the
-    power-state catalog, and drives a seeded diurnal trace through every
-    registered governor policy.  The simulation runs twice; the wall is
-    the best of the two and ``digest_stable`` compares the two reports
-    byte-for-byte (the determinism contract).  The rate is
-    machine-intervals/s across all policies — the unit of simulator work.
+    Generates the FLEET_BENCH corpus, composes its first system into a
+    :class:`repro.simhw.SimTestbed`, and compiles the runtime index for
+    the power-state catalog.
     """
     from repro.composer import Composer
     from repro.corpus import generate_corpus
-    from repro.fleet import GOVERNORS, index_state_catalog, make_trace, simulate_fleet
+    from repro.fleet import index_state_catalog
     from repro.ir import IRModel
     from repro.modellib import standard_repository
     from repro.runtime import xpdl_init_from_model
     from repro.simhw import testbed_from_model
 
-    policies = tuple(GOVERNORS)
-    corpus = generate_corpus(seed, scale)
+    corpus = generate_corpus(FLEET_BENCH_SEED, FLEET_BENCH_SCALE)
     with tempfile.TemporaryDirectory(prefix="xpdl-fleet-") as scratch:
         corpus_dir = os.path.join(scratch, "corpus")
         corpus.write_to(corpus_dir)
@@ -629,7 +642,28 @@ def run_fleet_bench(
     ctx = xpdl_init_from_model(
         IRModel.from_model(composed.root, {"system": system})
     )
-    catalog = index_state_catalog(ctx, bed)
+    cluster = {
+        "system": system,
+        "seed": FLEET_BENCH_SEED,
+        "scale": FLEET_BENCH_SCALE,
+        "machines": len(bed.machines),
+    }
+    return cluster, bed, index_state_catalog(ctx, bed)
+
+
+def run_fleet_bench(report: dict[str, Any], args: RunArgs) -> dict[str, Any]:
+    """Measure the fleet simulator (``xpdl fleet``) over a generated cluster.
+
+    Drives a seeded diurnal trace through every registered governor
+    policy on the :func:`_fleet_cluster`.  The simulation runs twice; the
+    wall is the best of the two and ``digest_stable`` compares the two
+    reports byte-for-byte (the determinism contract).  The rate is
+    machine-intervals/s across all policies — the unit of simulator work.
+    """
+    from repro.fleet import GOVERNORS, make_trace, simulate_fleet
+
+    policies = tuple(GOVERNORS)
+    cluster, bed, catalog = _fleet_cluster()
     trace = make_trace(
         FLEET_BENCH_TRACE,
         seed=FLEET_BENCH_TRACE_SEED,
@@ -646,13 +680,13 @@ def run_fleet_bench(
             simulate_fleet(bed, trace, policies, state_catalog=catalog)
         )
         walls.append(time.perf_counter() - t0)
-    report = reports[0]
+    sim = reports[0]
     wall = min(walls)
 
-    perf_energy = report.result("performance").energy_j
+    perf_energy = sim.result("performance").energy_j
     measured: dict[str, Any] = {}
     for policy in policies:
-        r = report.result(policy)
+        r = sim.result(policy)
         measured[policy] = {
             "energy_j": round(r.energy_j, 3),
             "energy_delta_vs_performance": round(
@@ -668,66 +702,41 @@ def run_fleet_bench(
     machine_intervals = len(bed.machines) * trace.intervals * len(policies)
     rate = machine_intervals / wall
     return {
-        "system": system,
-        "seed": seed,
-        "scale": scale,
-        "machines": len(bed.machines),
+        **cluster,
         "trace": {
             "kind": FLEET_BENCH_TRACE,
             "seed": FLEET_BENCH_TRACE_SEED,
             "intervals": FLEET_BENCH_INTERVALS,
             "interval_s": FLEET_BENCH_INTERVAL_S,
         },
-        "peak_capacity": report.peak_capacity,
-        "digest": report.digest(),
+        "peak_capacity": sim.peak_capacity,
+        "digest": sim.digest(),
         "digest_stable": reports[0].to_json() == reports[1].to_json(),
         "wall_s": round(wall, 6),
-        "norm_wall": round(wall / calibration_s, 4),
+        "norm_wall": round(wall / args.calibration_s, 4),
         "machine_intervals_per_s": round(rate, 1),
-        "norm_rate": round(rate * calibration_s, 3),
+        "norm_rate": round(rate * args.calibration_s, 3),
         "policies": measured,
     }
 
 
-def run_sweep_bench(
-    calibration_s: float,
-    *,
-    seed: int = FLEET_BENCH_SEED,
-    scale: int = FLEET_BENCH_SCALE,
-    fleet_norm_rate: float | None = None,
-) -> dict[str, Any]:
+def run_sweep_bench(report: dict[str, Any], args: RunArgs) -> dict[str, Any]:
     """Measure the fleet sweep engine (``xpdl fleet sweep``).
 
     Shards the :data:`SWEEP_BENCH_TRACES` x :data:`SWEEP_BENCH_SEEDS` x
-    every-governor grid over the FLEET_BENCH cluster twice — ``jobs=1``
+    every-governor grid over the :func:`_fleet_cluster` twice — ``jobs=1``
     and ``jobs=min(4, cpus)`` — and reports grid wall, cells/s and the
     parallel speedup.  ``digest_stable`` compares the two reports
     byte-for-byte: sharding must not change a single bit of the output.
     ``single_cell_norm_rate`` carries the ``fleet`` section's rate so the
     sweep gate can floor it against :data:`SCHEMA6_FLEET_NORM_RATE`.
     """
-    from repro.composer import Composer
-    from repro.corpus import generate_corpus
-    from repro.fleet import GOVERNORS, index_state_catalog, run_sweep
-    from repro.ir import IRModel
-    from repro.modellib import standard_repository
-    from repro.runtime import xpdl_init_from_model
-    from repro.simhw import testbed_from_model
+    from repro.fleet import GOVERNORS, run_sweep
     from repro.toolchain import default_jobs
 
     policies = tuple(GOVERNORS)
-    corpus = generate_corpus(seed, scale)
-    with tempfile.TemporaryDirectory(prefix="xpdl-sweep-") as scratch:
-        corpus_dir = os.path.join(scratch, "corpus")
-        corpus.write_to(corpus_dir)
-        system = sorted(corpus.systems)[0]
-        composed = Composer(standard_repository(corpus_dir)).compose(system)
-
-    bed = testbed_from_model(composed.root, name=system)
-    ctx = xpdl_init_from_model(
-        IRModel.from_model(composed.root, {"system": system})
-    )
-    catalog = index_state_catalog(ctx, bed)
+    cluster, bed, catalog = _fleet_cluster()
+    calibration_s = args.calibration_s
 
     cpus = default_jobs()
     jobs = min(SWEEP_BENCH_JOBS, cpus)
@@ -751,11 +760,8 @@ def run_sweep_bench(
             "workers": stats.workers,
         }
 
-    out: dict[str, Any] = {
-        "system": system,
-        "seed": seed,
-        "scale": scale,
-        "machines": len(bed.machines),
+    return {
+        **cluster,
         "grid": {
             "policies": list(policies),
             "traces": list(SWEEP_BENCH_TRACES),
@@ -773,24 +779,397 @@ def run_sweep_bench(
         "parallel_speedup": round(
             serial_stats.wall_s / max(par_stats.wall_s, 1e-9), 2
         ),
+        "single_cell_norm_rate": report["fleet"]["norm_rate"],
+        "schema6_single_cell_floor": SCHEMA6_FLEET_NORM_RATE,
     }
-    if fleet_norm_rate is not None:
-        out["single_cell_norm_rate"] = fleet_norm_rate
-        out["schema6_single_cell_floor"] = SCHEMA6_FLEET_NORM_RATE
-    return out
 
 
-def _phase_dict(report: Any) -> dict[str, Any]:
-    return {
-        "ok": report.ok,
-        "builds": len(report.builds),
-        "wall_s": round(report.wall_s, 6),
-        "models_per_s": round(report.models_per_s, 3),
-        "hit_rate": round(report.hit_rate, 4),
-        "cache": dict(report.cache),
-        "jobs": report.jobs,
-        "shards": len(report.shards),
-    }
+# -- gates ------------------------------------------------------------------
+
+#: Reads the value at a dotted key path of one report (see :class:`Gate`).
+Read = Callable[[str], Any]
+
+
+class _Missing(LookupError):
+    """A key a gate reads is absent from the report."""
+
+
+def _get(data: Any, path: str) -> Any:
+    for key in path.split("."):
+        if not isinstance(data, dict) or key not in data:
+            raise _Missing(path)
+        data = data[key]
+    return data
+
+
+def _text(value: Any) -> str:
+    return f"{value:.4f}" if isinstance(value, float) else repr(value)
+
+
+@dataclass(frozen=True)
+class Baseline:
+    """A gate's bound at the baseline's value (or at the fixed ``ref``),
+    widened by ``max_regress + noise`` and then by the absolute ``slack``."""
+
+    noise: float = QUERY_NOISE
+    slack: float = 0.0
+    ref: float | None = None
+
+    def widen(self, ref: float, floor: bool, max_regress: float) -> tuple[float, str]:
+        """The floor (or ceiling) around ``ref``, and how a problem words it."""
+        if floor:
+            bound = ref * (1.0 - max_regress - self.noise) - self.slack
+        else:
+            bound = ref * (1.0 + max_regress + self.noise) + self.slack
+        sign = "-" if floor else "+"
+        slack = f" {sign}{self.slack}" if self.slack else ""
+        return bound, (
+            f" (regressed: {'baseline' if self.ref is None else 'fixed'} "
+            f"{ref:.4f} {sign}{max_regress + self.noise:.0%}{slack})"
+        )
+
+
+#: A gate's comparisons, and how a problem words a failed one.
+_OPS = {
+    "==": (operator.eq, "expected"),
+    ">=": (operator.ge, "below floor"),
+    "<=": (operator.le, "above ceiling"),
+    "<": (operator.lt, "not below"),
+}
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One check: the value at ``path`` must be ``op`` ``bound``.
+
+    ``path`` is dotted and relative to its section; a leading ``/``
+    reads from the report root, ``a / b`` is the ratio of two measured
+    rates, and a ``*`` step runs the gate once per key the baseline has
+    there.  ``bound`` is a constant (a flag or a count with ``==``, else
+    a floor or a ceiling), the path of another measured value, or a
+    :class:`Baseline` (no gate where the baseline has no value); by
+    default the value is a flag that must be true.  The
+    gate runs only where ``when`` holds; ``unless`` says why the host
+    cannot run it, naming the gate for :func:`skipped_gates`.
+    """
+
+    path: str
+    op: str = "=="
+    bound: Any = True
+    when: Callable[[Read], bool] | None = None
+    unless: Callable[[Read], str | None] | None = None
+
+    def check(self, read: Read, base: Read, max_regress: float) -> str | None:
+        """What is wrong with the current report, or None."""
+        if self.when and not self.when(read):
+            return None
+        bound, note = self.bound, ""
+        if isinstance(bound, str):
+            note, bound = f" ({bound})", read(bound)
+        elif isinstance(bound, Baseline):
+            try:
+                ref = base(self.path) if bound.ref is None else bound.ref
+            except _Missing:
+                return None
+            bound, note = bound.widen(ref, self.op == ">=", max_regress)
+        num, _, per = self.path.partition(" / ")
+        got = read(num) / max(read(per), 1e-9) if per else read(num)
+        test, word = _OPS[self.op]
+        return None if test(got, bound) else f"{_text(got)}, {word} {_text(bound)}{note}"
+
+
+def _each(gate: Gate, base: Read) -> list[Gate]:
+    """``gate``, or a copy of it per key the baseline has at its ``*`` step."""
+    head, star, tail = gate.path.partition(".*")
+    if not star:
+        return [gate]
+    try:
+        return [replace(gate, path=f"{head}.{key}{tail}") for key in base(head)]
+    except _Missing:
+        return []
+
+
+def _few_cores(read: Read) -> str | None:
+    """Why this host cannot show a parallel sweep speedup, if it cannot."""
+    cpus, jobs = read("cpus"), read("jobs")
+    if cpus < SWEEP_BENCH_JOBS:
+        return f"parallel speedup ({cpus} cpus < {SWEEP_BENCH_JOBS})"
+    if jobs < SWEEP_BENCH_JOBS:
+        return f"parallel speedup (jobs={jobs} < {SWEEP_BENCH_JOBS})"
+    return None
+
+
+# -- summary lines ----------------------------------------------------------
+
+
+def _wall(p: dict[str, Any]) -> str:
+    return (
+        f"wall {p.get('wall_s', 0) * 1e3:8.1f} ms  "
+        f"norm {p.get('norm_wall', 0):7.3f}"
+    )
+
+
+def _phase_lines(phases: dict[str, Any], label: str, jobs: bool) -> list[str]:
+    """One line per cold/warm/parallel phase (``label`` formats its name)."""
+    rows = [(name, phases[name]) for name in ("cold", "warm", "parallel") if name in phases]
+    return [
+        label.format(name) + _wall(p)
+        + f"  {p['models_per_s']:7.1f} models/s  hit rate {p['hit_rate']:.0%}"
+        + (f"  jobs={p['jobs']}" if jobs else "")
+        for name, p in rows
+    ]
+
+
+def _rate_lines(
+    categories: dict[str, Any], names: tuple[str, ...], key: str, unit: str
+) -> list[str]:
+    """One line per category: rate and normalized rate (see :func:`_normalized`)."""
+    return [
+        f"    {name:15s} {categories[name][key]:12.0f} {unit}/s  "
+        f"norm {categories[name]['norm_' + key]:10.3f}"
+        for name in names
+        if name in categories
+    ]
+
+
+def _build_lines(data: dict[str, Any]) -> list[str]:
+    return _phase_lines(data["phases"], "  {:9s} ", jobs=True) + [
+        "  IR deterministic across jobs: "
+        + ("yes" if data.get("ir_deterministic") else "NO")
+    ]
+
+
+def _query_lines(queries: dict[str, Any]) -> list[str]:
+    categories = queries.get("categories") or {}
+    if not categories:
+        return []
+    lines = [
+        f"  queries on {queries.get('system', '?')} "
+        f"({queries.get('elements', '?')} elements):"
+    ]
+    lines += _rate_lines(
+        categories,
+        ("getter", "browse", "by_id", "path", "path_naive", "analysis",
+         "analysis_naive"),
+        "qps",
+        "queries",
+    )
+    for fast, slow in (("path", "path_naive"), ("analysis", "analysis_naive")):
+        if fast in categories and slow in categories:
+            speedup = categories[fast]["qps"] / max(
+                categories[slow]["qps"], 1e-9
+            )
+            lines.append(f"    {fast} speedup over naive: {speedup:.0f}x")
+    return lines
+
+
+def _serve_lines(serve: dict[str, Any]) -> list[str]:
+    categories = serve.get("categories") or {}
+    if not categories:
+        return []
+    lines = [
+        f"  serve dispatch on {serve.get('system', '?')} "
+        f"(cold {serve.get('cold_ms', 0):.0f} ms, "
+        f"{serve.get('index_builds', '?')} index build):"
+    ]
+    lines += _rate_lines(
+        categories, ("hot", "batch32", "info", "threads4"), "rps", "requests"
+    )
+    frac = serve.get("hot_fraction_of_raw_path")
+    if frac:
+        lines.append(f"    hot dispatch at {frac:.0%} of raw path-query rate")
+    return lines
+
+
+def _cold_init_lines(cold: dict[str, Any]) -> list[str]:
+    lines = [
+        f"  cold open on {cold.get('system', '?')} "
+        f"({cold.get('elements', '?')} elements, "
+        f"{cold.get('rebuilds', '?')} rebuilds):"
+    ]
+    for name in ("image_mmap", "image_read", "core_only"):
+        ms = (cold.get("open_ms") or {}).get(name)
+        if ms is None:
+            continue
+        lines.append(f"    {name:15s} {ms:10.3f} ms")
+    lines.append(
+        f"    warm mmap open speedup over from-scratch: "
+        f"{cold.get('speedup_vs_scratch', 0):.0f}x"
+    )
+    for row in cold.get("scaling") or []:
+        lines.append(
+            f"    {row['nodes']:7d} nodes   mmap {row['image_mmap_ms']:8.3f} ms  "
+            f"scratch {row['scratch_ms']:9.3f} ms  "
+            f"speedup {row['speedup']:6.1f}x"
+        )
+    return lines
+
+
+def _scale_lines(scale: dict[str, Any]) -> list[str]:
+    lines = [
+        f"  scale corpus (seed={scale.get('seed')}, "
+        f"scale={scale.get('scale')}): {scale.get('descriptors')} "
+        f"descriptors, {scale.get('systems')} systems, "
+        f"digest {'stable' if scale.get('digest_stable') else 'UNSTABLE'}"
+    ]
+    gen = scale.get("gen") or {}
+    if gen:
+        lines.append(
+            f"    gen        wall {gen['wall_s'] * 1e3:8.1f} ms  "
+            f"{gen['descriptors_per_s']:7.1f} descriptors/s"
+        )
+    lines += _phase_lines(scale.get("phases") or {}, "    {:9s}  ", jobs=False)
+    doctor = scale.get("doctor") or {}
+    if doctor:
+        lines.append(
+            f"    doctor     {_wall(doctor)}  "
+            f"{doctor['systems_per_s']:7.2f} systems/s  "
+            f"{doctor['errors']} error(s), "
+            f"{doctor['findings']} finding(s)"
+        )
+    return lines
+
+
+def _fleet_lines(fleet: dict[str, Any]) -> list[str]:
+    trace = fleet.get("trace") or {}
+    lines = [
+        f"  fleet sim on {fleet.get('system', '?')} "
+        f"({fleet.get('machines', '?')} machines, "
+        f"{trace.get('kind', '?')} trace x{trace.get('intervals', '?')}, "
+        f"digest {'stable' if fleet.get('digest_stable') else 'UNSTABLE'}):",
+        f"    {_wall(fleet)}  "
+        f"{fleet.get('machine_intervals_per_s', 0):9.1f} machine-intervals/s",
+    ]
+    for policy, p in (fleet.get("policies") or {}).items():
+        lines.append(
+            f"    {policy:13s} {p['energy_j']:12.1f} J  "
+            f"({p['energy_delta_vs_performance']:+7.1%} vs performance)  "
+            f"SLO {p['slo_attainment']:4.0%}  "
+            f"served {p['service_level']:4.0%}  "
+            f"{p['switches']:5d} switches"
+        )
+    return lines
+
+
+def _sweep_lines(sweep: dict[str, Any]) -> list[str]:
+    grid = sweep.get("grid") or {}
+    lines = [
+        f"  fleet sweep on {sweep.get('system', '?')} "
+        f"({sweep.get('cells', '?')} cells = "
+        f"{len(grid.get('policies') or [])} policies x "
+        f"{len(grid.get('traces') or [])} traces x "
+        f"{len(grid.get('seeds') or [])} seeds, "
+        f"digest {'stable' if sweep.get('digest_stable') else 'UNSTABLE'} "
+        f"across jobs):"
+    ]
+    for name in ("serial", "parallel"):
+        s = sweep.get(name) or {}
+        if s:
+            lines.append(
+                f"    {name:9s}  {_wall(s)}  "
+                f"{s['cells_per_s']:7.2f} cells/s  workers={s['workers']}"
+            )
+    lines.append(
+        f"    speedup {sweep.get('parallel_speedup', 0):.2f}x at "
+        f"jobs={sweep.get('jobs')} ({sweep.get('cpus')} CPUs)"
+    )
+    single = sweep.get("single_cell_norm_rate")
+    if single is not None:
+        lines.append(
+            f"    single-cell norm rate {single:.1f} "
+            f"(schema-6 cursor floor "
+            f"{sweep.get('schema6_single_cell_floor', 0):.1f})"
+        )
+    return lines
+
+
+# -- the section table ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Section:
+    """One report section: its report key, ``run``, summary lines and gates.
+
+    ``key`` None puts the section's keys at the top level of the report
+    (it is named ``build``).  ``run`` receives the report built so far.
+    The gates of an ``optional`` section run only where the report has it.
+    """
+
+    key: str | None
+    run: Callable[[dict[str, Any], RunArgs], dict[str, Any]]
+    summary: Callable[[dict[str, Any]], list[str]]
+    gates: tuple[Gate, ...]
+    optional: bool = True
+
+    @property
+    def name(self) -> str:
+        return self.key or "build"
+
+    def data(self, report: dict[str, Any]) -> Any:
+        return report if self.key is None else report.get(self.key) or {}
+
+    def reader(self, report: dict[str, Any]) -> Read:
+        prefix = f"{self.key}." if self.key else ""
+        return lambda p: _get(report, p[1:] if p[0] == "/" else prefix + p)
+
+
+SECTIONS: tuple[Section, ...] = (
+    Section(None, run_build_bench, _build_lines, optional=False, gates=(
+        Gate("phases.*.ok"),
+        Gate("ir_deterministic"),
+        Gate("phases.warm.hit_rate", ">=", MIN_WARM_HIT_RATE),
+        Gate("phases.warm.norm_wall", "<=", Baseline(noise=0.0, slack=NORM_SLACK)),
+    )),
+    Section("queries", run_query_bench, _query_lines, optional=False, gates=(
+        Gate("categories.*.norm_qps", ">=", Baseline()),
+        Gate("categories.path.qps / categories.path_naive.qps", ">=", MIN_QUERY_SPEEDUP),
+        Gate("categories.analysis.qps / categories.analysis_naive.qps", ">=",
+             MIN_QUERY_SPEEDUP),
+    )),
+    Section("serve", run_serve_bench, _serve_lines, optional=False, gates=(
+        Gate("/queries.categories.path.qps / categories.hot.rps", "<=",
+             MAX_SERVE_DISPATCH_SLOWDOWN),
+        # Hot requests reuse the hosted IRIndex: no recompile per request.
+        Gate("index_builds", "==", 1),
+        Gate("categories.*.norm_rps", ">=", Baseline()),
+    )),
+    Section("cold_init", run_cold_init_bench, _cold_init_lines, gates=(
+        # A warm open adopts the persisted index sections in place.
+        Gate("rebuilds", "==", 0),
+        Gate("speedup_vs_scratch", ">=", MIN_COLD_OPEN_SPEEDUP),
+        # Sub-ms opens are dominated by syscall noise: a tiny absolute slack.
+        Gate("norm_open.*", "<=", Baseline(slack=0.05)),
+    )),
+    Section("scale", run_scale_bench, _scale_lines, gates=(
+        Gate("digest_stable"),
+        Gate("ir_deterministic"),
+        Gate("phases.*.ok"),
+        Gate("phases.warm.hit_rate", ">=", MIN_WARM_HIT_RATE),
+        # The generator is doctor-clean by construction.
+        Gate("doctor.errors", "==", 0),
+        Gate("phases.cold.norm_wall", "<=", Baseline(slack=NORM_SLACK)),
+        Gate("phases.warm.norm_wall", "<=", Baseline(slack=NORM_SLACK)),
+        Gate("doctor.norm_wall", "<=", Baseline(slack=NORM_SLACK)),
+    )),
+    Section("fleet", run_fleet_bench, _fleet_lines, gates=(
+        Gate("digest_stable"),
+        Gate("policies.powersave.energy_j", "<=", "policies.performance.energy_j"),
+        Gate("policies.ondemand.slo_attainment", ">=",
+             "policies.performance.slo_attainment"),
+        # Where ondemand misses performance's SLO, its energy is not judged.
+        Gate("policies.ondemand.energy_j", "<", "policies.performance.energy_j",
+             when=lambda read: read("policies.ondemand.slo_attainment")
+             >= read("policies.performance.slo_attainment")),
+        Gate("norm_rate", ">=", Baseline()),
+    )),
+    Section("sweep", run_sweep_bench, _sweep_lines, gates=(
+        Gate("digest_stable"),
+        Gate("parallel_speedup", ">=", MIN_SWEEP_SPEEDUP, unless=_few_cores),
+        # The memoized inner loop stays as fast as the schema-6 simulator.
+        Gate("single_cell_norm_rate", ">=", Baseline(ref=SCHEMA6_FLEET_NORM_RATE)),
+        Gate("serial.norm_cells_per_s", ">=", Baseline()),
+    )),
+)
 
 
 def run_bench(
@@ -800,72 +1179,21 @@ def run_bench(
     identifiers: Sequence[str] | None = None,
     include: Sequence[str] = (),
 ) -> dict[str, Any]:
-    """Measure cold/warm/parallel corpus builds; return the report dict.
+    """Measure every section of :data:`SECTIONS`; return the report dict."""
+    from repro.toolchain import default_jobs
 
-    ``cache_dir=None`` uses a throwaway directory so benchmarking never
-    touches (or benefits from) a developer's real ``.xpdl-cache``.
-    """
-    from repro.modellib import standard_repository
-    from repro.toolchain import default_jobs, run_batch
-
-    jobs = jobs or default_jobs()
-    calibration_s = calibrate()
-
-    with tempfile.TemporaryDirectory(prefix="xpdl-bench-") as scratch:
-        base = cache_dir or os.path.join(scratch, "cache")
-        repo = standard_repository(*include)
-        corpus = list(identifiers) if identifiers else repo.systems()
-
-        cold = run_batch(
-            standard_repository(*include), corpus, jobs=1,
-            cache_dir=os.path.join(base, "seq"),
-        )
-        warm = run_batch(
-            standard_repository(*include), corpus, jobs=1,
-            cache_dir=os.path.join(base, "seq"),
-        )
-        par = run_batch(
-            standard_repository(*include), corpus, jobs=jobs,
-            cache_dir=os.path.join(base, "par"),
-        )
-
-    phases = {
-        "cold": _phase_dict(cold),
-        "warm": _phase_dict(warm),
-        "parallel": _phase_dict(par),
-    }
-    for phase in phases.values():
-        phase["norm_wall"] = round(phase["wall_s"] / calibration_s, 4)
-    ir_match = [b.ir_sha256 for b in cold.builds] == [
-        b.ir_sha256 for b in par.builds
-    ]
-    queries = run_query_bench(calibration_s)
-    serve = run_serve_bench(
-        calibration_s,
-        raw_path_qps=queries["categories"]["path"]["qps"],
-    )
-    cold_init = run_cold_init_bench(calibration_s)
-    scale = run_scale_bench(calibration_s, jobs=jobs)
-    fleet = run_fleet_bench(calibration_s)
-    sweep = run_sweep_bench(
-        calibration_s, fleet_norm_rate=fleet["norm_rate"]
-    )
-    return {
+    args = RunArgs(calibrate(), jobs or default_jobs(), cache_dir, identifiers, include)
+    report: dict[str, Any] = {
         "bench_schema": BENCH_SCHEMA,
         "rev": git_rev(),
         "python": platform.python_version(),
         "platform": sys.platform,
-        "calibration_s": round(calibration_s, 6),
-        "corpus": sorted(corpus),
-        "ir_deterministic": ir_match,
-        "phases": phases,
-        "queries": queries,
-        "serve": serve,
-        "cold_init": cold_init,
-        "scale": scale,
-        "fleet": fleet,
-        "sweep": sweep,
+        "calibration_s": round(args.calibration_s, 6),
     }
+    for section in SECTIONS:
+        out = section.run(report, args)
+        report.update(out if section.key is None else {section.key: out})
+    return report
 
 
 def write_report(data: dict[str, Any], out_dir: str = ".") -> str:
@@ -888,21 +1216,37 @@ def load_report(path: str) -> dict[str, Any]:
     return data
 
 
+def _evaluate(
+    baseline: dict[str, Any], current: dict[str, Any], max_regress: float
+) -> tuple[list[str], list[str]]:
+    """Run every gate: the problems with ``current`` and the gates skipped."""
+    problems: list[str] = []
+    skipped: list[str] = []
+    for section in SECTIONS:
+        if section.optional and not section.data(current):
+            continue
+        read, base = section.reader(current), section.reader(baseline)
+        for gate in (g for each in section.gates for g in _each(each, base)):
+            try:
+                why = gate.unless(read) if gate.unless else None
+                if why:
+                    skipped.append(f"{section.name} {why}")
+                    continue
+                problem = gate.check(read, base, max_regress)
+            except _Missing as missing:
+                problem = f"{missing} missing from current report"
+            if problem:
+                problems.append(f"{section.name} bench {gate.path.lstrip('/')}: {problem}")
+    return problems, skipped
+
+
 def skipped_gates(current: dict[str, Any]) -> list[str]:
     """Gates :func:`compare` cannot run on ``current``'s host, with why.
 
     They add no problem, so the CLI names each one rather than let it
-    read as passed.
+    read as passed.  (No baseline gate runs against an empty baseline.)
     """
-    sweep = current.get("sweep") or {}
-    if not sweep:
-        return []
-    cpus, jobs = sweep.get("cpus", 0), sweep.get("jobs", 0)
-    if cpus < SWEEP_BENCH_JOBS:
-        return [f"sweep parallel speedup ({cpus} cpus < {SWEEP_BENCH_JOBS})"]
-    if jobs < SWEEP_BENCH_JOBS:
-        return [f"sweep parallel speedup (jobs={jobs} < {SWEEP_BENCH_JOBS})"]
-    return []
+    return _evaluate({}, current, MAX_REGRESS)[1]
 
 
 def compare(
@@ -913,283 +1257,11 @@ def compare(
 ) -> list[str]:
     """CI gate: problems list, empty when ``current`` is acceptable.
 
-    Checks, in order of severity: every phase built successfully and
-    deterministically; the warm phase's persistent-cache hit rate is at
-    least :data:`MIN_WARM_HIT_RATE`; and the *normalized* warm-build wall
-    time has not regressed more than ``max_regress`` (plus a small
-    absolute slack) against the baseline.
+    Runs the gates of every section in :data:`SECTIONS`; a gate against
+    the baseline tolerates ``max_regress`` on top of its own noise and
+    slack.
     """
-    problems: list[str] = []
-    for name, phase in current["phases"].items():
-        if not phase.get("ok", False):
-            problems.append(f"phase {name}: build failed")
-    if not current.get("ir_deterministic", False):
-        problems.append("parallel build is not byte-identical to sequential")
-
-    warm = current["phases"]["warm"]
-    if warm["hit_rate"] < MIN_WARM_HIT_RATE:
-        problems.append(
-            f"warm hit rate {warm['hit_rate']:.0%} below the "
-            f"{MIN_WARM_HIT_RATE:.0%} floor"
-        )
-
-    base_warm = baseline["phases"]["warm"]
-    allowed = base_warm["norm_wall"] * (1.0 + max_regress) + NORM_SLACK
-    if warm["norm_wall"] > allowed:
-        problems.append(
-            f"warm build regressed: norm_wall {warm['norm_wall']:.3f} "
-            f"exceeds allowed {allowed:.3f} "
-            f"(baseline {base_warm['norm_wall']:.3f} "
-            f"+{max_regress:.0%} +{NORM_SLACK} slack)"
-        )
-
-    # -- runtime query API throughput ----------------------------------
-    base_queries = (baseline.get("queries") or {}).get("categories") or {}
-    cur_queries = (current.get("queries") or {}).get("categories") or {}
-    for name, base_q in base_queries.items():
-        cur_q = cur_queries.get(name)
-        if cur_q is None:
-            problems.append(f"query bench {name!r}: missing from current report")
-            continue
-        floor = base_q["norm_qps"] * (1.0 - max_regress - QUERY_NOISE)
-        if cur_q["norm_qps"] < floor:
-            problems.append(
-                f"query bench {name!r} regressed: norm_qps "
-                f"{cur_q['norm_qps']:.3f} below floor {floor:.3f} "
-                f"(baseline {base_q['norm_qps']:.3f} "
-                f"-{max_regress + QUERY_NOISE:.0%})"
-            )
-    for fast, slow in (("path", "path_naive"), ("analysis", "analysis_naive")):
-        if fast in cur_queries and slow in cur_queries:
-            speedup = cur_queries[fast]["qps"] / max(cur_queries[slow]["qps"], 1e-9)
-            if speedup < MIN_QUERY_SPEEDUP:
-                problems.append(
-                    f"compiled {fast} query engine only {speedup:.1f}x the "
-                    f"naive evaluator (floor {MIN_QUERY_SPEEDUP:.0f}x)"
-                )
-
-    # -- model service (xpdl serve) dispatch ---------------------------
-    cur_serve = current.get("serve") or {}
-    serve_cats = cur_serve.get("categories") or {}
-    raw_path = cur_queries.get("path")
-    if raw_path and "hot" in serve_cats:
-        slowdown = raw_path["qps"] / max(serve_cats["hot"]["rps"], 1e-9)
-        if slowdown > MAX_SERVE_DISPATCH_SLOWDOWN:
-            problems.append(
-                f"hot serve dispatch is {slowdown:.1f}x slower than raw "
-                f"compiled path queries "
-                f"(ceiling {MAX_SERVE_DISPATCH_SLOWDOWN:.0f}x)"
-            )
-    if cur_serve and cur_serve.get("index_builds") != 1:
-        problems.append(
-            f"serve bench built the hosted index "
-            f"{cur_serve.get('index_builds')!r} times (expected exactly 1: "
-            f"hot requests must reuse the cached IRIndex)"
-        )
-    for name, base_c in (
-        (baseline.get("serve") or {}).get("categories") or {}
-    ).items():
-        cur_c = serve_cats.get(name)
-        if cur_c is None:
-            problems.append(f"serve bench {name!r}: missing from current report")
-            continue
-        floor = base_c["norm_rps"] * (1.0 - max_regress - QUERY_NOISE)
-        if cur_c["norm_rps"] < floor:
-            problems.append(
-                f"serve bench {name!r} regressed: norm_rps "
-                f"{cur_c['norm_rps']:.3f} below floor {floor:.3f} "
-                f"(baseline {base_c['norm_rps']:.3f} "
-                f"-{max_regress + QUERY_NOISE:.0%})"
-            )
-
-    # -- zero-copy cold open (persisted v2 index image) ----------------
-    cur_cold = current.get("cold_init") or {}
-    if cur_cold:
-        if cur_cold.get("rebuilds", 1) != 0:
-            problems.append(
-                f"warm image open rebuilt the index "
-                f"{cur_cold.get('rebuilds')!r} time(s) (expected 0: the "
-                f"persisted sections must be adopted in place)"
-            )
-        speedup = cur_cold.get("speedup_vs_scratch", 0.0)
-        if speedup < MIN_COLD_OPEN_SPEEDUP:
-            problems.append(
-                f"warm image open only {speedup:.1f}x faster than a "
-                f"from-scratch open (floor {MIN_COLD_OPEN_SPEEDUP:.0f}x)"
-            )
-        base_cold = (baseline.get("cold_init") or {}).get("norm_open") or {}
-        cur_norm = cur_cold.get("norm_open") or {}
-        for name, base_v in base_cold.items():
-            cur_v = cur_norm.get(name)
-            if cur_v is None:
-                problems.append(
-                    f"cold_init bench {name!r}: missing from current report"
-                )
-                continue
-            # Latency: higher is worse.  Same relative tolerance as the
-            # throughput gates, plus a tiny absolute slack for sub-ms
-            # opens dominated by syscall noise.
-            ceiling = base_v * (1.0 + max_regress + QUERY_NOISE) + 0.05
-            if cur_v > ceiling:
-                problems.append(
-                    f"cold_init bench {name!r} regressed: norm_open "
-                    f"{cur_v:.4f} above ceiling {ceiling:.4f} "
-                    f"(baseline {base_v:.4f} "
-                    f"+{max_regress + QUERY_NOISE:.0%})"
-                )
-    # -- generated-corpus scale section --------------------------------
-    cur_scale = current.get("scale") or {}
-    if cur_scale:
-        if not cur_scale.get("digest_stable", False):
-            problems.append(
-                "scale bench: generator digest is not stable across "
-                "re-generation (seeding contract broken)"
-            )
-        if not cur_scale.get("ir_deterministic", False):
-            problems.append(
-                "scale bench: parallel corpus build is not byte-identical "
-                "to sequential"
-            )
-        for name, phase in (cur_scale.get("phases") or {}).items():
-            if not phase.get("ok", False):
-                problems.append(f"scale bench phase {name}: build failed")
-        scale_warm = (cur_scale.get("phases") or {}).get("warm") or {}
-        if scale_warm and scale_warm.get("hit_rate", 0.0) < MIN_WARM_HIT_RATE:
-            problems.append(
-                f"scale bench warm hit rate {scale_warm['hit_rate']:.0%} "
-                f"below the {MIN_WARM_HIT_RATE:.0%} floor"
-            )
-        doctor = cur_scale.get("doctor") or {}
-        if doctor.get("errors", 0) != 0:
-            problems.append(
-                f"scale bench: doctor found {doctor.get('errors')} error(s) "
-                "in the generated corpus (generator must be doctor-clean)"
-            )
-        # Batch-build and doctor throughput gates against the baseline
-        # (normalized walls; ceiling like the latency gates above).
-        base_scale = baseline.get("scale") or {}
-        gates = [
-            ("cold build", ("phases", "cold"), "norm_wall"),
-            ("warm build", ("phases", "warm"), "norm_wall"),
-            ("doctor", ("doctor",), "norm_wall"),
-        ]
-        for label, path_keys, key in gates:
-            base_v: Any = base_scale
-            cur_v: Any = cur_scale
-            for k in path_keys:
-                base_v = (base_v or {}).get(k)
-                cur_v = (cur_v or {}).get(k)
-            base_v = (base_v or {}).get(key) if base_v else None
-            cur_v = (cur_v or {}).get(key) if cur_v else None
-            if base_v is None:
-                continue
-            if cur_v is None:
-                problems.append(
-                    f"scale bench {label}: missing from current report"
-                )
-                continue
-            ceiling = base_v * (1.0 + max_regress + QUERY_NOISE) + NORM_SLACK
-            if cur_v > ceiling:
-                problems.append(
-                    f"scale bench {label} regressed: norm_wall {cur_v:.3f} "
-                    f"above ceiling {ceiling:.3f} (baseline {base_v:.3f} "
-                    f"+{max_regress + QUERY_NOISE:.0%})"
-                )
-    # -- fleet energy/SLO simulation -----------------------------------
-    cur_fleet = current.get("fleet") or {}
-    if cur_fleet:
-        if not cur_fleet.get("digest_stable", False):
-            problems.append(
-                "fleet bench: report is not byte-identical across re-runs "
-                "(simulation determinism contract broken)"
-            )
-        pols = cur_fleet.get("policies") or {}
-        perf = pols.get("performance")
-        save = pols.get("powersave")
-        od = pols.get("ondemand")
-        if perf and save and save["energy_j"] > perf["energy_j"]:
-            problems.append(
-                f"fleet bench: powersave used more energy "
-                f"({save['energy_j']:.1f} J) than performance "
-                f"({perf['energy_j']:.1f} J)"
-            )
-        if perf and od:
-            if od["slo_attainment"] < perf["slo_attainment"]:
-                problems.append(
-                    f"fleet bench: ondemand SLO attainment "
-                    f"{od['slo_attainment']:.0%} fell below performance's "
-                    f"{perf['slo_attainment']:.0%} on the diurnal trace"
-                )
-            elif od["energy_j"] >= perf["energy_j"]:
-                problems.append(
-                    f"fleet bench: ondemand saved no energy over "
-                    f"performance ({od['energy_j']:.1f} J vs "
-                    f"{perf['energy_j']:.1f} J at equal SLO)"
-                )
-        base_fleet = baseline.get("fleet") or {}
-        base_rate = base_fleet.get("norm_rate")
-        cur_rate = cur_fleet.get("norm_rate")
-        if base_rate is not None:
-            if cur_rate is None:
-                problems.append("fleet bench: missing from current report")
-            else:
-                floor = base_rate * (1.0 - max_regress - QUERY_NOISE)
-                if cur_rate < floor:
-                    problems.append(
-                        f"fleet bench regressed: norm_rate {cur_rate:.3f} "
-                        f"below floor {floor:.3f} (baseline {base_rate:.3f} "
-                        f"-{max_regress + QUERY_NOISE:.0%})"
-                    )
-    # -- fleet sweep engine --------------------------------------------
-    cur_sweep = current.get("sweep") or {}
-    if cur_sweep:
-        if not cur_sweep.get("digest_stable", False):
-            problems.append(
-                "sweep bench: report is not byte-identical across jobs "
-                "(sharding determinism contract broken)"
-            )
-        if (
-            cur_sweep.get("cpus", 0) >= SWEEP_BENCH_JOBS
-            and cur_sweep.get("jobs", 0) >= SWEEP_BENCH_JOBS
-            and cur_sweep.get("parallel_speedup", 0.0) < MIN_SWEEP_SPEEDUP
-        ):
-            problems.append(
-                f"sweep bench: parallel speedup "
-                f"{cur_sweep.get('parallel_speedup', 0.0):.2f}x at "
-                f"jobs={cur_sweep.get('jobs')} below the "
-                f"{MIN_SWEEP_SPEEDUP:.0f}x floor "
-                f"({cur_sweep.get('cpus')} CPUs available)"
-            )
-        single = cur_sweep.get("single_cell_norm_rate")
-        if single is not None:
-            floor = SCHEMA6_FLEET_NORM_RATE * (
-                1.0 - max_regress - QUERY_NOISE
-            )
-            if single < floor:
-                problems.append(
-                    f"sweep bench: single-cell norm_rate {single:.3f} fell "
-                    f"below the schema-6 cursor-engine floor {floor:.3f} "
-                    f"(the memoized inner loop must stay at least as fast "
-                    f"as the pre-memo simulator)"
-                )
-        base_sweep = baseline.get("sweep") or {}
-        base_cells = (base_sweep.get("serial") or {}).get("norm_cells_per_s")
-        cur_cells = (cur_sweep.get("serial") or {}).get("norm_cells_per_s")
-        if base_cells is not None:
-            if cur_cells is None:
-                problems.append(
-                    "sweep bench: serial cells/s missing from current report"
-                )
-            else:
-                floor = base_cells * (1.0 - max_regress - QUERY_NOISE)
-                if cur_cells < floor:
-                    problems.append(
-                        f"sweep bench regressed: serial norm_cells_per_s "
-                        f"{cur_cells:.4f} below floor {floor:.4f} "
-                        f"(baseline {base_cells:.4f} "
-                        f"-{max_regress + QUERY_NOISE:.0%})"
-                    )
-    return problems
+    return _evaluate(baseline, current, max_regress)[0]
 
 
 def summarize(data: dict[str, Any]) -> str:
@@ -1199,176 +1271,7 @@ def summarize(data: dict[str, Any]) -> str:
         f"calibration {data['calibration_s'] * 1e3:.0f} ms, "
         f"{len(data['corpus'])} systems)"
     ]
-    for name in ("cold", "warm", "parallel"):
-        p = data["phases"][name]
-        lines.append(
-            f"  {name:9s} wall {p['wall_s'] * 1e3:8.1f} ms  "
-            f"norm {p['norm_wall']:7.3f}  "
-            f"{p['models_per_s']:7.1f} models/s  "
-            f"hit rate {p['hit_rate']:.0%}  jobs={p['jobs']}"
-        )
-    lines.append(
-        "  IR deterministic across jobs: "
-        + ("yes" if data.get("ir_deterministic") else "NO")
-    )
-    queries = data.get("queries") or {}
-    categories = queries.get("categories") or {}
-    if categories:
-        lines.append(
-            f"  queries on {queries.get('system', '?')} "
-            f"({queries.get('elements', '?')} elements):"
-        )
-        for name in (
-            "getter",
-            "browse",
-            "by_id",
-            "path",
-            "path_naive",
-            "analysis",
-            "analysis_naive",
-        ):
-            q = categories.get(name)
-            if q is None:
-                continue
-            lines.append(
-                f"    {name:15s} {q['qps']:12.0f} queries/s  "
-                f"norm {q['norm_qps']:10.3f}"
-            )
-        for fast, slow in (("path", "path_naive"), ("analysis", "analysis_naive")):
-            if fast in categories and slow in categories:
-                speedup = categories[fast]["qps"] / max(
-                    categories[slow]["qps"], 1e-9
-                )
-                lines.append(f"    {fast} speedup over naive: {speedup:.0f}x")
-    serve = data.get("serve") or {}
-    serve_cats = serve.get("categories") or {}
-    if serve_cats:
-        lines.append(
-            f"  serve dispatch on {serve.get('system', '?')} "
-            f"(cold {serve.get('cold_ms', 0):.0f} ms, "
-            f"{serve.get('index_builds', '?')} index build):"
-        )
-        for name in ("hot", "batch32", "info", "threads4"):
-            c = serve_cats.get(name)
-            if c is None:
-                continue
-            lines.append(
-                f"    {name:15s} {c['rps']:12.0f} requests/s  "
-                f"norm {c['norm_rps']:10.3f}"
-            )
-        frac = serve.get("hot_fraction_of_raw_path")
-        if frac:
-            lines.append(
-                f"    hot dispatch at {frac:.0%} of raw path-query rate"
-            )
-    cold = data.get("cold_init") or {}
-    if cold:
-        lines.append(
-            f"  cold open on {cold.get('system', '?')} "
-            f"({cold.get('elements', '?')} elements, "
-            f"{cold.get('rebuilds', '?')} rebuilds):"
-        )
-        for name in ("image_mmap", "image_read", "core_only"):
-            ms = (cold.get("open_ms") or {}).get(name)
-            if ms is None:
-                continue
-            lines.append(f"    {name:15s} {ms:10.3f} ms")
-        lines.append(
-            f"    warm mmap open speedup over from-scratch: "
-            f"{cold.get('speedup_vs_scratch', 0):.0f}x"
-        )
-        for row in cold.get("scaling") or []:
-            lines.append(
-                f"    {row['nodes']:7d} nodes   mmap {row['image_mmap_ms']:8.3f} ms  "
-                f"scratch {row['scratch_ms']:9.3f} ms  "
-                f"speedup {row['speedup']:6.1f}x"
-            )
-    scale = data.get("scale") or {}
-    if scale:
-        lines.append(
-            f"  scale corpus (seed={scale.get('seed')}, "
-            f"scale={scale.get('scale')}): {scale.get('descriptors')} "
-            f"descriptors, {scale.get('systems')} systems, "
-            f"digest {'stable' if scale.get('digest_stable') else 'UNSTABLE'}"
-        )
-        gen = scale.get("gen") or {}
-        if gen:
-            lines.append(
-                f"    gen        wall {gen['wall_s'] * 1e3:8.1f} ms  "
-                f"{gen['descriptors_per_s']:7.1f} descriptors/s"
-            )
-        for name in ("cold", "warm", "parallel"):
-            p = (scale.get("phases") or {}).get(name)
-            if p is None:
-                continue
-            lines.append(
-                f"    {name:9s}  wall {p['wall_s'] * 1e3:8.1f} ms  "
-                f"norm {p['norm_wall']:7.3f}  "
-                f"{p['models_per_s']:7.1f} models/s  "
-                f"hit rate {p['hit_rate']:.0%}"
-            )
-        doctor = scale.get("doctor") or {}
-        if doctor:
-            lines.append(
-                f"    doctor     wall {doctor['wall_s'] * 1e3:8.1f} ms  "
-                f"norm {doctor['norm_wall']:7.3f}  "
-                f"{doctor['systems_per_s']:7.2f} systems/s  "
-                f"{doctor['errors']} error(s), "
-                f"{doctor['findings']} finding(s)"
-            )
-    fleet = data.get("fleet") or {}
-    if fleet:
-        trace = fleet.get("trace") or {}
-        lines.append(
-            f"  fleet sim on {fleet.get('system', '?')} "
-            f"({fleet.get('machines', '?')} machines, "
-            f"{trace.get('kind', '?')} trace x{trace.get('intervals', '?')}, "
-            f"digest {'stable' if fleet.get('digest_stable') else 'UNSTABLE'}):"
-        )
-        lines.append(
-            f"    wall {fleet.get('wall_s', 0) * 1e3:8.1f} ms  "
-            f"norm {fleet.get('norm_wall', 0):7.3f}  "
-            f"{fleet.get('machine_intervals_per_s', 0):9.1f} machine-intervals/s"
-        )
-        for policy, p in (fleet.get("policies") or {}).items():
-            lines.append(
-                f"    {policy:13s} {p['energy_j']:12.1f} J  "
-                f"({p['energy_delta_vs_performance']:+7.1%} vs performance)  "
-                f"SLO {p['slo_attainment']:4.0%}  "
-                f"served {p['service_level']:4.0%}  "
-                f"{p['switches']:5d} switches"
-            )
-    sweep = data.get("sweep") or {}
-    if sweep:
-        grid = sweep.get("grid") or {}
-        lines.append(
-            f"  fleet sweep on {sweep.get('system', '?')} "
-            f"({sweep.get('cells', '?')} cells = "
-            f"{len(grid.get('policies') or [])} policies x "
-            f"{len(grid.get('traces') or [])} traces x "
-            f"{len(grid.get('seeds') or [])} seeds, "
-            f"digest {'stable' if sweep.get('digest_stable') else 'UNSTABLE'} "
-            f"across jobs):"
-        )
-        for name in ("serial", "parallel"):
-            s = sweep.get(name) or {}
-            if not s:
-                continue
-            lines.append(
-                f"    {name:9s}  wall {s['wall_s'] * 1e3:8.1f} ms  "
-                f"norm {s['norm_wall']:7.3f}  "
-                f"{s['cells_per_s']:7.2f} cells/s  "
-                f"workers={s['workers']}"
-            )
-        lines.append(
-            f"    speedup {sweep.get('parallel_speedup', 0):.2f}x at "
-            f"jobs={sweep.get('jobs')} ({sweep.get('cpus')} CPUs)"
-        )
-        single = sweep.get("single_cell_norm_rate")
-        if single is not None:
-            lines.append(
-                f"    single-cell norm rate {single:.1f} "
-                f"(schema-6 cursor floor "
-                f"{sweep.get('schema6_single_cell_floor', 0):.1f})"
-            )
+    for section in SECTIONS:
+        if section.data(data):
+            lines += section.summary(section.data(data))
     return "\n".join(lines)

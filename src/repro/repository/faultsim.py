@@ -189,7 +189,8 @@ class FaultPlan:
         """Build a plan from a compact spec string.
 
         ``spec`` is ``;``-separated rules of ``[PATTERN=]SCHEDULE`` where a
-        bare schedule sets the default.  Schedules::
+        bare schedule sets the default; a rule with ``=`` and an empty
+        pattern is an error, not the default.  Schedules::
 
             none                  no faults
             fail:K                fail the first K requests per path
@@ -204,12 +205,11 @@ class FaultPlan:
                 continue
             pattern, sep, sched_spec = raw.partition("=")
             if not sep:
-                pattern, sched_spec = "", pattern
-            schedule = _parse_schedule(sched_spec.strip())
-            if pattern:
-                plan.add(pattern.strip(), schedule)
+                plan.default = _parse_schedule(raw)
+            elif pattern.strip():
+                plan.add(pattern.strip(), _parse_schedule(sched_spec.strip()))
             else:
-                plan.default = schedule
+                raise XpdlError(f"bad fault rule {raw!r}: empty path pattern before '='")
         return plan
 
 

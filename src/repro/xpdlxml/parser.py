@@ -39,6 +39,17 @@ _PREDEFINED_ENTITIES = {
     "quot": '"',
 }
 
+#: Deepest element nesting the parser accepts, the root being level 1.
+#: The parser recurses two frames per level, so 256 levels use about
+#: half of Python's default recursion limit and leave the rest to its
+#: callers (the composer loads type descriptors from inside its own
+#: recursion).  Descriptors in the bundled and generated corpora nest at
+#: most 7 levels.
+MAX_NESTING = 256
+
+#: The end of a tag, ``>`` outside quoted attribute values.
+_TAG_END = re.compile(r"""(?:[^>"']|"[^"]*"|'[^']*')*>""")
+
 _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_:")
 _NAME_CHARS = _NAME_START | set("0123456789.-")
 
@@ -112,6 +123,7 @@ class XmlParser:
         self.sink.add_source(source)
         self.strict = strict
         self.elements_parsed = 0
+        self.depth = 0  # elements open around the one being parsed
 
     # -- error helpers -------------------------------------------------------
     def _span(self, start: int, end: int | None = None) -> SourceSpan:
@@ -176,15 +188,16 @@ class XmlParser:
                 i += 1
                 continue
             body = raw[i + 1 : end]
-            if body.startswith("#x") or body.startswith("#X"):
+            if body.startswith("#"):
+                digits, base = (body[2:], 16) if body[1:2] in ("x", "X") else (body[1:], 10)
                 try:
-                    out.append(chr(int(body[2:], 16)))
+                    code = int(digits, base)
                 except ValueError:
-                    self._error("XML0011", f"bad character reference &{body};", at_offset + i)
-            elif body.startswith("#"):
-                try:
-                    out.append(chr(int(body[1:], 10)))
-                except ValueError:
+                    code = -1
+                # Unicode scalar values only: no surrogate, nothing past U+10FFFF.
+                if 0 <= code <= 0x10FFFF and not 0xD800 <= code <= 0xDFFF:
+                    out.append(chr(code))
+                else:
                     self._error("XML0011", f"bad character reference &{body};", at_offset + i)
             elif body in _PREDEFINED_ENTITIES:
                 out.append(_PREDEFINED_ENTITIES[body])
@@ -396,6 +409,14 @@ class XmlParser:
 
     def _parse_element(self) -> XmlElement | None:
         start = self.pos
+        if self.depth == MAX_NESTING:
+            self._error(
+                "XML0033",
+                f"element nested deeper than {MAX_NESTING} levels; its content is skipped",
+                start,
+            )
+            self._skip_element()
+            return None
         self.pos += 1  # '<'
         tag = self._read_name()
         if tag is None:
@@ -415,9 +436,41 @@ class XmlParser:
             return elem
         if not self._expect(">", "'>' closing start tag"):
             return elem
+        self.depth += 1
         self._parse_content(elem)
+        self.depth -= 1
         elem.span = self._span(start)
         return elem
+
+    def _skip_element(self) -> None:
+        """Move past the element starting at ``pos`` and all it contains.
+
+        Counts start and end tags without recursing, so any depth skips.
+        """
+        open_tags = 0
+        while True:
+            lt = self.text.find("<", self.pos)
+            if lt == -1:
+                self.pos = self.n
+                return
+            self.pos = lt
+            for opener, closer in (("<!--", "-->"), ("<![CDATA[", "]]>"), ("<?", "?>")):
+                if self._startswith(opener):
+                    end = self.text.find(closer, lt + len(opener))
+                    self.pos = self.n if end == -1 else end + len(closer)
+                    break
+            else:
+                tag = _TAG_END.match(self.text, lt)
+                if tag is None:
+                    self.pos = self.n
+                    return
+                self.pos = tag.end()
+                if self.text.startswith("</", lt):
+                    open_tags -= 1
+                elif self.text[self.pos - 2] != "/":
+                    open_tags += 1
+                if open_tags <= 0:
+                    return
 
     def _parse_content(self, parent: XmlElement) -> None:
         text_start = self.pos

@@ -306,17 +306,21 @@ class TestCacheCli:
 
 
 class TestBenchHarness:
-    def test_run_bench_and_gate(self):
+    @pytest.fixture(scope="class")
+    def bench(self):
+        """One harness run shared by the tests; each deep-copies before mutating."""
         harness = pytest.importorskip("benchmarks.harness")
-        data = harness.run_bench(jobs=1, identifiers=["myriad_server"])
+        return harness, harness.run_bench(jobs=1, identifiers=["myriad_server"])
+
+    def test_run_bench_and_gate(self, bench):
+        harness, data = bench
         assert data["ir_deterministic"] is True
         assert data["phases"]["warm"]["hit_rate"] >= 0.9
         assert data["phases"]["cold"]["builds"] == 1
         assert harness.compare(data, data) == []
 
-    def test_gate_fails_on_regression(self):
-        harness = pytest.importorskip("benchmarks.harness")
-        data = harness.run_bench(jobs=1, identifiers=["myriad_server"])
+    def test_gate_fails_on_regression(self, bench):
+        harness, data = bench
         worse = copy.deepcopy(data)
         worse["phases"]["warm"]["norm_wall"] = (
             data["phases"]["warm"]["norm_wall"] * 10.0 + 10.0
@@ -324,9 +328,9 @@ class TestBenchHarness:
         problems = harness.compare(data, worse, max_regress=0.25)
         assert any("regressed" in p for p in problems)
 
-    def test_report_roundtrip(self, tmp_path):
-        harness = pytest.importorskip("benchmarks.harness")
-        data = harness.run_bench(jobs=1, identifiers=["myriad_server"])
+    def test_report_roundtrip(self, bench, tmp_path):
+        harness, data = bench
+        data = copy.deepcopy(data)
         data["rev"] = "testrev"
         path = harness.write_report(data, str(tmp_path))
         assert path.endswith("BENCH_testrev.json")

@@ -125,3 +125,47 @@ class TestValidateAll:
         )
         code = main(["-I", str(tmp_path), "validate", "--all"])
         assert code == 1
+
+
+class TestHostileDescriptorsCli:
+    """Character references and nesting depth end in diagnostics, never tracebacks."""
+
+    @staticmethod
+    def _deep_cpu(tmp_path, levels: int) -> None:
+        """A ``<cpu>`` nesting ``levels`` elements deep, and a system using it."""
+        (tmp_path / "deep_cpu.xpdl").write_text(
+            '<cpu name="DeepChip">' + "<group>" * (levels - 1)
+            + "</group>" * (levels - 1) + "</cpu>\n"
+        )
+        (tmp_path / "deep_sys.xpdl").write_text(
+            '<system id="deepsys"><socket><cpu id="c0" type="DeepChip"/></socket></system>\n'
+        )
+
+    def test_256_levels_validate_compose_and_doctor_clean(self, capsys, tmp_path):
+        self._deep_cpu(tmp_path, 256)
+        assert main(["-I", str(tmp_path), "validate", "DeepChip"]) == 0
+        out_file = tmp_path / "deep.xir"
+        assert main(["-I", str(tmp_path), "compose", "deepsys", "-o", str(out_file)]) == 0
+        assert out_file.exists()
+        capsys.readouterr()
+        assert main(["-I", str(tmp_path), "doctor"]) == 0
+        assert "doctor: 0 error(s)" in capsys.readouterr().out
+
+    def test_600_levels_are_xml0033_for_validate_and_doctor(self, capsys, tmp_path):
+        self._deep_cpu(tmp_path, 600)
+        assert main(["-I", str(tmp_path), "validate", "DeepChip"]) == 1
+        captured = capsys.readouterr()
+        assert "XML0033" in captured.err
+        assert "Traceback" not in captured.err
+        assert main(["-I", str(tmp_path), "doctor"]) in (0, 1)
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_compose_reports_a_surrogate_reference(self, capsys, tmp_path):
+        (tmp_path / "sur.xpdl").write_text(
+            '<system id="sursys"><node id="n&#xD800;1"/></system>\n'
+        )
+        code = main(["-I", str(tmp_path), "compose", "sursys", "-o", str(tmp_path / "s.xir")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "bad character reference &#xD800; [XML0011]" in captured.err
+        assert "Traceback" not in captured.err

@@ -119,6 +119,13 @@ class TestFaultPlanParse:
             with pytest.raises(XpdlError):
                 FaultPlan.parse(bad)
 
+    def test_empty_pattern_rejected_not_read_as_default(self):
+        for bad in ("=dead", " = fail:2", "vendor/*=dead; =dead"):
+            with pytest.raises(XpdlError, match="empty path pattern"):
+                FaultPlan.parse(bad)
+        # A bare schedule still sets the store-wide default.
+        assert FaultPlan.parse(" dead ").outcome_for("any.xpdl").fail
+
     def test_describe_mentions_rules(self):
         plan = FaultPlan.parse("vendor/*=dead;fail:2")
         desc = plan.describe()

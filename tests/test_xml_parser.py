@@ -1,6 +1,7 @@
 """Unit tests for the from-scratch XML parser."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.diagnostics import DiagnosticSink, ParseError
 from repro.xpdlxml import (
@@ -10,6 +11,7 @@ from repro.xpdlxml import (
     XmlText,
     parse_xml,
 )
+from repro.xpdlxml.parser import MAX_NESTING
 
 
 class TestBasicParsing:
@@ -68,6 +70,107 @@ class TestEntities:
         sink = DiagnosticSink()
         parse_xml("<a>&bogus;</a>", sink=sink)
         assert any(d.code == "XML0012" for d in sink)
+
+
+def _decoded(ref: str, in_attribute: bool):
+    """Parse ``ref`` in an attribute value or in text: (decoded, codes)."""
+    sink = DiagnosticSink()
+    if in_attribute:
+        doc = parse_xml(f'<a v="x{ref}y"/>', sink=sink)
+        value = doc.root.get("v")
+    else:
+        doc = parse_xml(f"<a>x{ref}y</a>", sink=sink)
+        value = doc.root.text_content()
+    return value, [d.code for d in sink]
+
+
+class TestCharacterReferences:
+    """Only Unicode scalar values decode; the rest is XML0011, never a crash."""
+
+    @pytest.mark.parametrize("in_attribute", [False, True])
+    @pytest.mark.parametrize(
+        "ref",
+        ["&#99999999999;", "&#x1FFFFFFFFFFFFFFFF;", "&#xD800;", "&#xDFFF;", "&#55296;",
+         "&#x110000;", "&#1114112;", "&#-1;", "&#x;"],
+    )
+    def test_out_of_range_or_surrogate_is_xml0011(self, ref, in_attribute):
+        value, codes = _decoded(ref, in_attribute)
+        assert codes == ["XML0011"]
+        assert value == "xy"
+
+    @pytest.mark.parametrize("in_attribute", [False, True])
+    @pytest.mark.parametrize(
+        "ref, char",
+        [("&#x10FFFF;", "\U0010ffff"), ("&#xD7FF;", "\ud7ff"), ("&#xE000;", "\ue000"),
+         ("&#0;", "\x00"), ("&#65;", "A")],
+    )
+    def test_scalar_values_decode(self, ref, char, in_attribute):
+        assert _decoded(ref, in_attribute) == (f"x{char}y", [])
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        n=st.one_of(
+            st.integers(0, 2**64),
+            st.integers(0xD700, 0xE100),
+            st.integers(0x10FF00, 0x110100),
+        ),
+        hexadecimal=st.booleans(),
+        in_attribute=st.booleans(),
+    )
+    def test_any_reference_decodes_or_is_xml0011(self, n, hexadecimal, in_attribute):
+        ref = f"&#x{n:x};" if hexadecimal else f"&#{n};"
+        value, codes = _decoded(ref, in_attribute)
+        if n <= 0x10FFFF and not 0xD800 <= n <= 0xDFFF:
+            assert (value, codes) == (f"x{chr(n)}y", [])
+        else:
+            assert (value, codes) == ("xy", ["XML0011"])
+
+
+def _nested(levels: int, inner: str = "") -> str:
+    """A root ``r`` holding ``levels - 1`` nested ``g``s, then a sibling."""
+    return "<r>" + "<g>" * (levels - 1) + inner + "</g>" * (levels - 1) + "<after/></r>"
+
+
+def _depth(element) -> int:
+    depth = 0
+    while element is not None:
+        depth += 1
+        kids = element.elements("g")
+        element = kids[0] if kids else None
+    return depth
+
+
+class TestNesting:
+    def test_the_limit_is_256_levels(self):
+        assert MAX_NESTING == 256
+
+    def test_256_levels_parse(self):
+        sink = DiagnosticSink()
+        doc = parse_xml(_nested(MAX_NESTING), sink=sink)
+        assert list(sink) == []
+        assert _depth(doc.root) == MAX_NESTING
+
+    def test_257th_level_is_xml0033_and_its_subtree_is_skipped(self):
+        sink = DiagnosticSink()
+        text = _nested(MAX_NESTING, "<x a='>'/><!-- </g> --><![CDATA[</g>]]><?p </g>?>")
+        doc = parse_xml(text, sink=sink)
+        assert [d.code for d in sink] == ["XML0033"]
+        # At the opening tag of the element past the limit.
+        assert sink.diagnostics[0].span.start.offset == 3 + 3 * (MAX_NESTING - 1)
+        assert _depth(doc.root) == MAX_NESTING
+        # Parsing resumes after the skipped subtree.
+        assert [e.tag for e in doc.root.elements()] == ["g", "after"]
+
+    @pytest.mark.parametrize("levels", [600, 5000])
+    def test_deep_documents_do_not_exhaust_the_stack(self, levels):
+        sink = DiagnosticSink()
+        doc = parse_xml(_nested(levels), sink=sink)
+        assert [d.code for d in sink] == ["XML0033"]
+        assert [e.tag for e in doc.root.elements()] == ["g", "after"]
+
+    def test_strict_mode_raises(self):
+        with pytest.raises(ParseError):
+            parse_xml(_nested(MAX_NESTING + 1), strict=True)
 
 
 class TestMarkup:
