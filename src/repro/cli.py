@@ -430,7 +430,9 @@ def cmd_fleet(args) -> int:
     _print_diagnostics(session.sink)
     if session.sink.has_errors():
         return 1
-    testbed = testbed_from_model(result.composed.root, name=args.model)
+    testbed = testbed_from_model(
+        session.analyze(args.model).composed.root, name=args.model
+    )
     ctx = xpdl_init_from_model(result.ir)
     catalog = index_state_catalog(ctx, testbed)
     trace = make_trace(
@@ -482,7 +484,9 @@ def cmd_fleet_sweep(args) -> int:
     _print_diagnostics(session.sink)
     if session.sink.has_errors():
         return 1
-    testbed = testbed_from_model(result.composed.root, name=args.model)
+    testbed = testbed_from_model(
+        session.analyze(args.model).composed.root, name=args.model
+    )
     image_path = None
     catalog = None
     if cache is not None and result.image_key:

@@ -36,7 +36,6 @@ import json
 import os
 import random
 import tempfile
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
@@ -44,15 +43,13 @@ from ..diagnostics import ResolutionError, TransientFetchError
 from ..obs import get_observer
 from .faultsim import LISTING_PATH, FaultPlan
 
-try:  # advisory locking is POSIX-only; index merges degrade gracefully
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None  # type: ignore[assignment]
-
 XPDL_SUFFIX = ".xpdl"
 
 #: Default offline-mirror root, next to the persistent stage cache.
 DEFAULT_MIRROR_DIR = os.path.join(".xpdl-cache", "mirror")
+
+#: File suffix of one self-checking record (:func:`write_record`).
+RECORD_SUFFIX = ".rec"
 
 
 def atomic_write(path: str, data: bytes) -> None:
@@ -73,21 +70,64 @@ def atomic_write(path: str, data: bytes) -> None:
         raise
 
 
-@contextmanager
-def index_lock(root: str) -> Iterator[None]:
-    """Serialize read-merge-write index updates under ``root`` between
-    processes: an advisory ``fcntl`` lock on ``root/.lock`` where
-    available, no lock elsewhere."""
-    if fcntl is None:
-        yield
-        return
-    os.makedirs(root, exist_ok=True)
-    with open(os.path.join(root, ".lock"), "a+") as fh:
-        fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-        try:
-            yield
-        finally:
-            fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
+class RecordError(ValueError):
+    """A record file that exists but fails one of its own checks."""
+
+
+def write_record(path: str, header: dict[str, Any], payload: bytes) -> None:
+    """Atomically write one self-checking record: ``header`` plus the
+    payload's SHA-256 and size as one JSON line, then the payload."""
+    head = dict(
+        header, sha256=hashlib.sha256(payload).hexdigest(), size=len(payload)
+    )
+    line = json.dumps(head, sort_keys=True, separators=(",", ":"))
+    atomic_write(path, line.encode("utf-8") + b"\n" + payload)
+
+
+def read_record(
+    path: str, expect: dict[str, Any]
+) -> tuple[dict[str, Any], bytes] | None:
+    """Header and payload of the record at ``path``, from one read.
+
+    None when no file can be read there.  Raises :class:`RecordError`
+    when the file is not one whole record whose header holds every item
+    of ``expect``.  Header and payload come from the same read of the
+    same file, so a concurrent :func:`os.replace` yields the old record
+    or the new one, never a mix.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError:
+        return None
+    line, newline, payload = data.partition(b"\n")
+    try:
+        header = json.loads(line)
+    except ValueError:  # includes UnicodeDecodeError
+        header = None
+    if not newline or not isinstance(header, dict):
+        raise RecordError("unreadable header")
+    for name, value in expect.items():
+        if header.get(name) != value:
+            raise RecordError(
+                f"header {name} is {header.get(name)!r}, expected {value!r}"
+            )
+    if header.get("size") != len(payload):
+        raise RecordError("payload size mismatch")
+    if header.get("sha256") != hashlib.sha256(payload).hexdigest():
+        raise RecordError("payload digest mismatch")
+    return header, payload
+
+
+def files_under(root: str, suffix: str) -> list[str]:
+    """Sorted paths of the files below ``root`` whose names end in
+    ``suffix`` (an in-flight ``.tmp-`` file never does)."""
+    return sorted(
+        os.path.join(dirpath, name)
+        for dirpath, _dirs, names in os.walk(root)
+        for name in names
+        if name.endswith(suffix)
+    )
 
 
 @dataclass(slots=True)
@@ -452,79 +492,45 @@ class CircuitBreakerStore(DescriptorStore):
 
 
 class MirrorIndex:
-    """On-disk layout of one offline descriptor mirror.
+    """On-disk layout of one offline descriptor mirror: one record per
+    mirrored store path, written with :func:`write_record`::
 
-    Follows the :mod:`repro.toolchain.diskcache` conventions::
+        <root>/ab/<sha256 of the path>.rec  # {version, path, sha256, size} + text
 
-        <root>/index.json            # path -> {sha256, size}, version-stamped
-        <root>/objects/ab/<sha>.xpdl # content-addressed descriptor texts
-
-    Blobs and the index are written with :func:`atomic_write`; index
-    merges are serialized by :func:`index_lock`.  Corrupt or
-    version-mismatched indexes read as empty — the mirror rebuilds on the
-    next successful fetch.
+    A record that fails its checks reads as missing (counted as
+    ``cache.corrupt``); the next successful fetch of its path rewrites it.
     """
 
-    VERSION = 1
-    INDEX_NAME = "index.json"
-    OBJECTS_DIR = "objects"
+    VERSION = 2
 
     def __init__(self, root: str) -> None:
         self.root = os.path.abspath(root)
-        self._entries: dict[str, dict[str, Any]] | None = None
 
-    # -- paths ---------------------------------------------------------------
-    @property
-    def index_path(self) -> str:
-        return os.path.join(self.root, self.INDEX_NAME)
+    def record_path(self, path: str) -> str:
+        digest = hashlib.sha256(path.encode("utf-8")).hexdigest()
+        return os.path.join(self.root, digest[:2], f"{digest}{RECORD_SUFFIX}")
 
-    def _blob_path(self, sha256: str) -> str:
-        return os.path.join(
-            self.root, self.OBJECTS_DIR, sha256[:2], f"{sha256}{XPDL_SUFFIX}"
-        )
-
-    # -- index ---------------------------------------------------------------
-    def _read_index(self) -> dict[str, dict[str, Any]]:
+    def _read(self, record: str, **expect: Any) -> tuple[dict[str, Any], bytes] | None:
         try:
-            with open(self.index_path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, ValueError):
-            return {}
-        if not isinstance(data, dict) or data.get("version") != self.VERSION:
-            return {}
-        entries = data.get("entries")
-        return dict(entries) if isinstance(entries, dict) else {}
-
-    def _write_index(self, entries: dict[str, dict[str, Any]]) -> None:
-        payload = {"version": self.VERSION, "entries": dict(sorted(entries.items()))}
-        atomic_write(
-            self.index_path,
-            json.dumps(payload, indent=1, sort_keys=True).encode("utf-8"),
-        )
-
-    def entries(self, *, refresh: bool = False) -> dict[str, dict[str, Any]]:
-        if self._entries is None or refresh:
-            self._entries = self._read_index()
-        return self._entries
+            return read_record(record, {"version": self.VERSION, **expect})
+        except RecordError:
+            get_observer().count("cache.corrupt")
+            return None
 
     def paths(self) -> list[str]:
-        return sorted(self.entries())
+        """Every store path with an intact record, sorted."""
+        found = []
+        for record in files_under(self.root, RECORD_SUFFIX):
+            read = self._read(record)
+            path = read[0].get("path") if read else None
+            if isinstance(path, str) and self.record_path(path) == record:
+                found.append(path)
+        return sorted(found)
 
-    # -- content -------------------------------------------------------------
     def get(self, path: str) -> str | None:
         """Last-known-good text of ``path``, or None (missing/corrupt)."""
-        entry = self.entries().get(path)
-        if not entry:
-            return None
-        sha = str(entry.get("sha256", ""))
-        try:
-            with open(self._blob_path(sha), "rb") as fh:
-                data = fh.read()
-        except OSError:
-            return None
-        if hashlib.sha256(data).hexdigest() != sha:
-            return None
-        return data.decode("utf-8")
+        read = self._read(self.record_path(path), path=path)
+        return None if read is None else read[1].decode("utf-8")
 
     def put(self, path: str, text: str) -> bool:
         """Persist ``text`` as the mirror copy of ``path``.
@@ -533,26 +539,19 @@ class MirrorIndex:
         an identical copy is a cheap no-op.
         """
         data = text.encode("utf-8")
-        sha = hashlib.sha256(data).hexdigest()
-        current = self.entries().get(path)
-        if current and current.get("sha256") == sha:
+        record = self.record_path(path)
+        current = self._read(record, path=path)
+        if current is not None and current[1] == data:
             return False
-        blob = self._blob_path(sha)
-        if not os.path.exists(blob):
-            atomic_write(blob, data)
-        with index_lock(self.root):
-            merged = self._read_index()
-            merged[path] = {"sha256": sha, "size": len(data)}
-            self._write_index(merged)
-        self._entries = None
+        write_record(record, {"version": self.VERSION, "path": path}, data)
         return True
 
     def stats(self) -> dict[str, Any]:
-        entries = self.entries(refresh=True)
+        records = files_under(self.root, RECORD_SUFFIX)
         return {
             "path": self.root,
-            "entries": len(entries),
-            "bytes": sum(int(e.get("size", 0)) for e in entries.values()),
+            "entries": len(records),
+            "bytes": sum(os.path.getsize(r) for r in records),
         }
 
 

@@ -4,48 +4,56 @@ The in-session stage cache (:mod:`repro.toolchain.session`) dies with the
 process; batch compilation over thousands of models only pays off when a
 stage artifact computed by *one* invocation — or one worker of a parallel
 build — is reusable by the next.  A :class:`PersistentStageCache` stores
-pickled stage values under a cache directory (default ``.xpdl-cache/``)::
+each stage artifact as one record file under a cache directory (default
+``.xpdl-cache/``)::
 
     .xpdl-cache/
-        index.json              # entry metadata, version-stamped
-        objects/ab/abcdef....bin  # content-addressed pickle blobs
+        stages/<stage>/<sha256>.rec  # one record per (stage, identifier, options)
+        images/ab/<sha256>.xir       # content-addressed runtime images
 
 Design points:
 
-* **Keying** mirrors the session cache: an entry is addressed by
-  ``(stage, identifier, frozen-options)`` and guarded by the SHA-256
-  *source fingerprint* over the transitive ``.xpdl`` texts the stage
-  consumed.  The fingerprint is recomputed against the live repository on
-  every lookup, so touching any referenced descriptor invalidates exactly
-  the entries that depended on it.
-* **Atomicity**: blobs and the index are written to a temp file in the
-  cache directory and moved into place with :func:`os.replace`, so a
-  reader never observes a half-written file.  Blobs are content-addressed
-  (named by the SHA-256 of their bytes): two processes storing the same
-  artifact concurrently write identical files.
-* **Concurrency**: index updates re-read the on-disk index and merge the
-  new entry before replacing the file, serialized by an advisory
-  ``fcntl`` lock where available (gated import; plain merge-and-replace
-  elsewhere).  Losing a race costs at most a recomputation, never a
-  corrupt index.
-* **Versioning**: the index carries :data:`CACHE_SCHEMA_VERSION` and the
-  pickle protocol; a mismatch (schema change, older writer) makes the
-  whole cache read as empty so it is rebuilt cleanly.
+* **Keying** mirrors the session cache: a record's path is derived from
+  ``(stage, identifier, frozen-options)``, and its header carries the
+  SHA-256 *source fingerprint* over the transitive ``.xpdl`` texts the
+  stage consumed.  The fingerprint is recomputed against the live
+  repository on every lookup, so touching any referenced descriptor
+  invalidates exactly the entries that depended on it, and the recompute
+  overwrites the record: the cache holds one record per live key.
+* **Records** (:func:`~repro.repository.store.write_record`): a one-line
+  JSON header (schema version, pickle protocol, the key, fingerprint,
+  sources, payload SHA-256 and size) followed by the pickle, moved into
+  place with :func:`os.replace` and read back in one read.  A reader sees
+  a whole record, old or new, never one record's header with another's
+  payload.  There is no index, so nothing is merged or locked: two
+  processes storing one key both write a whole record, and the last
+  rename wins.
+* **Versioning**: a record from another :data:`CACHE_SCHEMA_VERSION` or
+  pickle protocol, or one that fails its size or digest check, reads as a
+  miss counted as ``cache.corrupt`` and is overwritten by the recompute.
+  Schema 3 and older kept an ``index.json`` and ``objects/``, which this
+  version never reads, so such a cache reads as empty.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import pickle
 import shutil
-from dataclasses import dataclass
-from typing import Any, Callable
+from dataclasses import dataclass, field
+from typing import Any
 
 from ..ir.image import verify_image
 from ..obs import get_observer
-from ..repository.store import atomic_write, index_lock
+from ..repository.store import (
+    RECORD_SUFFIX,
+    RecordError,
+    atomic_write,
+    files_under,
+    read_record,
+    write_record,
+)
 
 #: What a truncated/garbled/foreign pickle blob actually raises.  Bare
 #: ``Exception`` here used to swallow real bugs (a KeyboardInterrupt-adjacent
@@ -68,67 +76,35 @@ PICKLE_ERRORS = (
     RecursionError,  # pathological cyclic value
 )
 
-#: Bump whenever the index layout or the pickled artifact schema changes;
-#: caches written by other versions are ignored (and rebuilt), never
-#: misread.  Version 2: pickled ``Quantity`` values carry ``written``.
-#: Version 3: compositions pickle without their repository and sink.
-CACHE_SCHEMA_VERSION = 3
+#: Bump whenever the record layout or the pickled artifact schema changes;
+#: records written by other versions read as misses and are rewritten,
+#: never misread.  Version 2: pickled ``Quantity`` values carry
+#: ``written``.  Version 3: compositions pickle without their repository
+#: and sink.  Version 4: one record file per key, no index.
+CACHE_SCHEMA_VERSION = 4
 
-#: Fixed pickle protocol so every writer produces compatible blobs.
+#: Fixed pickle protocol so every writer produces compatible records.
 PICKLE_PROTOCOL = 4
 
-INDEX_NAME = "index.json"
-OBJECTS_DIR = "objects"
+STAGES_DIR = "stages"
 IMAGES_DIR = "images"
+#: What schema 3 and older kept beside ``images/``; ``clear`` drops it.
+LEGACY_NAMES = ("index.json", "objects", ".lock")
 
 DEFAULT_CACHE_DIR = ".xpdl-cache"
 
 
 @dataclass(frozen=True, slots=True)
 class DiskEntry:
-    """Metadata of one persisted stage artifact."""
+    """One persisted stage record, read whole by
+    :meth:`PersistentStageCache.lookup`."""
 
-    key: str
     stage: str
     identifier: str
     options: str
     fingerprint: str
     sources: tuple[str, ...]
-    blob: str
-    size: int
-    sha256: str
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "stage": self.stage,
-            "identifier": self.identifier,
-            "options": self.options,
-            "fingerprint": self.fingerprint,
-            "sources": list(self.sources),
-            "blob": self.blob,
-            "size": self.size,
-            "sha256": self.sha256,
-        }
-
-    @staticmethod
-    def from_json(key: str, data: dict[str, Any]) -> "DiskEntry":
-        return DiskEntry(
-            key=key,
-            stage=str(data["stage"]),
-            identifier=str(data["identifier"]),
-            options=str(data["options"]),
-            fingerprint=str(data["fingerprint"]),
-            sources=tuple(data["sources"]),
-            blob=str(data["blob"]),
-            size=int(data["size"]),
-            sha256=str(data["sha256"]),
-        )
-
-
-def entry_key(stage: str, identifier: str, options: str) -> str:
-    """Stable index key for one (stage, identifier, options) triple."""
-    digest = hashlib.sha256(options.encode("utf-8")).hexdigest()[:16]
-    return f"{stage}::{identifier}::{digest}"
+    payload: bytes = field(repr=False)
 
 
 class PersistentStageCache:
@@ -136,96 +112,81 @@ class PersistentStageCache:
 
     def __init__(self, root: str) -> None:
         self.root = os.path.abspath(root)
-        self._entries: dict[str, DiskEntry] | None = None
+        #: The last :class:`OSError` that kept :meth:`store` from writing.
+        self.write_error: OSError | None = None
 
     # -- paths -------------------------------------------------------------
     @property
-    def index_path(self) -> str:
-        return os.path.join(self.root, INDEX_NAME)
-
-    @property
-    def objects_root(self) -> str:
-        return os.path.join(self.root, OBJECTS_DIR)
+    def stages_root(self) -> str:
+        return os.path.join(self.root, STAGES_DIR)
 
     @property
     def images_root(self) -> str:
         return os.path.join(self.root, IMAGES_DIR)
 
-    def _blob_path(self, blob: str) -> str:
-        return os.path.join(self.objects_root, blob.replace("/", os.sep))
+    def record_path(self, stage: str, identifier: str, options: str) -> str:
+        """Where the record of one (stage, identifier, options) key lives."""
+        digest = hashlib.sha256(
+            f"{identifier}\0{options}".encode("utf-8")
+        ).hexdigest()
+        return os.path.join(self.stages_root, stage, f"{digest}{RECORD_SUFFIX}")
 
     def image_path(self, key: str) -> str:
         """Content-addressed location of one runtime image (v2 ``.xir``)."""
         return os.path.join(self.images_root, key[:2], f"{key}.xir")
 
-    # -- index I/O ---------------------------------------------------------
-    def _read_index(self) -> dict[str, DiskEntry]:
-        """Parse the on-disk index; any defect reads as an empty cache."""
-        try:
-            with open(self.index_path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, ValueError):
-            return {}
-        if not isinstance(data, dict):
-            return {}
-        if data.get("version") != CACHE_SCHEMA_VERSION:
-            return {}
-        if data.get("pickle_protocol") != PICKLE_PROTOCOL:
-            return {}
-        entries: dict[str, DiskEntry] = {}
-        for key, raw in (data.get("entries") or {}).items():
-            try:
-                entries[key] = DiskEntry.from_json(key, raw)
-            except (KeyError, TypeError, ValueError):
-                continue  # skip one malformed entry, keep the rest
-        return entries
-
-    def _write_index(self, entries: dict[str, DiskEntry]) -> None:
-        os.makedirs(self.root, exist_ok=True)
-        payload = {
-            "version": CACHE_SCHEMA_VERSION,
-            "pickle_protocol": PICKLE_PROTOCOL,
-            "entries": {k: e.to_json() for k, e in sorted(entries.items())},
-        }
-        atomic_write(
-            self.index_path,
-            json.dumps(payload, indent=1, sort_keys=True).encode("utf-8"),
+    def _entry(self, path: str, **expect: str) -> DiskEntry | None:
+        """The record at ``path``, None when there is none; raises
+        :class:`RecordError` when it fails a check."""
+        read = read_record(
+            path,
+            {"version": CACHE_SCHEMA_VERSION, "protocol": PICKLE_PROTOCOL, **expect},
         )
-
-    def entries(self, *, refresh: bool = False) -> dict[str, DiskEntry]:
-        """The index, loaded lazily once per cache object."""
-        if self._entries is None or refresh:
-            self._entries = self._read_index()
-        return self._entries
+        if read is None:
+            return None
+        header, payload = read
+        try:
+            return DiskEntry(
+                stage=str(header["stage"]),
+                identifier=str(header["identifier"]),
+                options=str(header["options"]),
+                fingerprint=str(header["fingerprint"]),
+                sources=tuple(map(str, header["sources"])),
+                payload=payload,
+            )
+        except (KeyError, TypeError) as exc:
+            raise RecordError(f"header lacks {exc}") from None
 
     # -- the cache protocol -------------------------------------------------
     def lookup(
         self, stage: str, identifier: str, options: str
     ) -> DiskEntry | None:
-        """Entry metadata for the triple, or None.  The caller must still
-        check the entry's fingerprint against the live sources."""
-        return self.entries().get(entry_key(stage, identifier, options))
+        """The record of the triple, or None.  The caller must still
+        check the entry's fingerprint against the live sources.
+
+        A record that fails its checks reads as a miss and bumps the
+        ``cache.corrupt`` counter, so a cache that is quietly rotting
+        shows up in ``xpdl stats``/``/stats`` instead of degrading to
+        permanent recomputation.
+        """
+        path = self.record_path(stage, identifier, options)
+        try:
+            return self._entry(
+                path, stage=stage, identifier=identifier, options=options
+            )
+        except RecordError:
+            get_observer().count("cache.corrupt")
+            return None
 
     def load(self, entry: DiskEntry) -> tuple[bool, Any]:
         """Deserialize an entry's artifact.
 
-        Returns ``(ok, value)``; a missing or corrupt blob reads as a miss
-        (``ok=False``), never an exception — the caller recomputes.  Every
-        corruption path bumps the ``cache.corrupt`` counter so a cache
-        that is quietly rotting shows up in ``xpdl stats``/``/stats``
-        instead of degrading to permanent recomputation.
+        Returns ``(ok, value)``; a payload that does not unpickle reads as
+        a miss (``ok=False``) counted as ``cache.corrupt``, never an
+        exception — the caller recomputes.
         """
         try:
-            with open(self._blob_path(entry.blob), "rb") as fh:
-                data = fh.read()
-        except OSError:
-            get_observer().count("cache.corrupt")
-            return False, None
-        if hashlib.sha256(data).hexdigest() != entry.sha256:
-            get_observer().count("cache.corrupt")
-            return False, None
-        try:
-            return True, pickle.loads(data)
+            return True, pickle.loads(entry.payload)
         except UNPICKLE_ERRORS:
             get_observer().count("cache.corrupt")
             return False, None
@@ -239,42 +200,37 @@ class PersistentStageCache:
         sources: tuple[str, ...],
         value: Any,
     ) -> bool:
-        """Persist one stage artifact; False when it cannot be pickled."""
+        """Persist one stage artifact over its key's record; False when
+        it cannot be pickled or written (see :attr:`write_error`)."""
         try:
             data = pickle.dumps(value, protocol=PICKLE_PROTOCOL)
         except PICKLE_ERRORS:
             get_observer().count("cache.unpicklable")
             return False
-        digest = hashlib.sha256(data).hexdigest()
-        blob = f"{digest[:2]}/{digest}.bin"
-        path = self._blob_path(blob)
-        if not os.path.exists(path):
-            atomic_write(path, data)
-        entry = DiskEntry(
-            key=entry_key(stage, identifier, options),
-            stage=stage,
-            identifier=identifier,
-            options=options,
-            fingerprint=fingerprint,
-            sources=tuple(sources),
-            blob=blob,
-            size=len(data),
-            sha256=digest,
-        )
-        with index_lock(self.root):
-            merged = self._read_index()
-            merged[entry.key] = entry
-            self._write_index(merged)
-        self._entries = None  # next lookup sees the merged view
+        header = {
+            "version": CACHE_SCHEMA_VERSION,
+            "protocol": PICKLE_PROTOCOL,
+            "stage": stage,
+            "identifier": identifier,
+            "options": options,
+            "fingerprint": fingerprint,
+            "sources": list(sources),
+        }
+        try:
+            write_record(self.record_path(stage, identifier, options), header, data)
+        except OSError as exc:
+            get_observer().count("cache.write_errors")
+            self.write_error = exc
+            return False
         return True
 
     # -- runtime images ------------------------------------------------------
     def store_image(self, data: bytes) -> str:
         """Persist one serialized v2 runtime image; returns its key.
 
-        Content-addressed by SHA-256 and written atomically, exactly like
-        stage blobs — concurrent build workers emitting the same model
-        write identical files, and a reader never maps a torn image.
+        Content-addressed by SHA-256 and written atomically — concurrent
+        build workers emitting the same model write identical files, and
+        a reader never maps a torn image.
         """
         key = hashlib.sha256(data).hexdigest()
         path = self.image_path(key)
@@ -291,70 +247,63 @@ class PersistentStageCache:
         path = self.image_path(key)
         return path if os.path.exists(path) else None
 
-    def _image_files(self) -> list[str]:
-        out: list[str] = []
-        root = self.images_root
-        if not os.path.isdir(root):
-            return out
-        for dirpath, _dirs, files in os.walk(root):
-            for name in files:
-                if name.endswith(".xir"):
-                    out.append(os.path.join(dirpath, name))
-        return sorted(out)
-
     # -- maintenance (xpdl cache …) -----------------------------------------
     def stats(self) -> dict[str, Any]:
-        """Summary counts for ``xpdl cache stats``."""
-        entries = self.entries(refresh=True)
+        """Summary counts for ``xpdl cache stats``: records and their
+        bytes on disk, per stage, plus the images."""
+        records = files_under(self.stages_root, RECORD_SUFFIX)
         by_stage: dict[str, int] = {}
-        total = 0
-        for e in entries.values():
-            by_stage[e.stage] = by_stage.get(e.stage, 0) + 1
-            total += e.size
-        images = self._image_files()
+        for path in records:
+            stage = os.path.basename(os.path.dirname(path))
+            by_stage[stage] = by_stage.get(stage, 0) + 1
+        images = files_under(self.images_root, ".xir")
         return {
             "path": self.root,
             "version": CACHE_SCHEMA_VERSION,
-            "entries": len(entries),
-            "bytes": total,
+            "entries": len(records),
+            "bytes": sum(os.path.getsize(p) for p in records),
             "stages": dict(sorted(by_stage.items())),
             "images": len(images),
             "image_bytes": sum(os.path.getsize(p) for p in images),
         }
 
     def clear(self) -> int:
-        """Drop every entry, blob and image; returns the number removed."""
-        with index_lock(self.root):
-            n = len(self._read_index()) + len(self._image_files())
-            shutil.rmtree(self.objects_root, ignore_errors=True)
-            shutil.rmtree(self.images_root, ignore_errors=True)
-            self._write_index({})
-        self._entries = None
+        """Drop every record and image (and a schema-3 index and its
+        blobs); returns the number of records and images removed."""
+        n = len(files_under(self.stages_root, RECORD_SUFFIX))
+        n += len(files_under(self.images_root, ".xir"))
+        for name in (STAGES_DIR, IMAGES_DIR, *LEGACY_NAMES):
+            path = os.path.join(self.root, name)
+            if os.path.isdir(path):
+                shutil.rmtree(path, ignore_errors=True)
+            elif os.path.lexists(path):
+                os.unlink(path)
         return n
 
     def verify(self) -> tuple[int, list[str]]:
-        """Check every entry's blob — and every runtime image — exists
-        and matches its digest; images additionally get their section
-        checksums verified.
+        """Check that every record is whole, current and stored under its
+        own key, and that every runtime image matches its digest and
+        section checksums.
 
         Returns ``(items_checked, problems)``; an empty problem list
         means the cache is internally consistent.
         """
         problems: list[str] = []
-        entries = self.entries(refresh=True)
-        for key, entry in sorted(entries.items()):
-            path = self._blob_path(entry.blob)
+        records = files_under(self.stages_root, RECORD_SUFFIX)
+        for path in records:
+            name = os.path.relpath(path, self.root)
             try:
-                with open(path, "rb") as fh:
-                    data = fh.read()
-            except OSError:
-                problems.append(f"{key}: missing blob {entry.blob}")
+                entry = self._entry(path)
+            except RecordError as exc:
+                problems.append(f"{name}: {exc}")
                 continue
-            if hashlib.sha256(data).hexdigest() != entry.sha256:
-                problems.append(f"{key}: blob digest mismatch {entry.blob}")
-            elif len(data) != entry.size:
-                problems.append(f"{key}: blob size mismatch {entry.blob}")
-        images = self._image_files()
+            if entry is None:
+                problems.append(f"{name}: unreadable")
+            elif path != self.record_path(
+                entry.stage, entry.identifier, entry.options
+            ):
+                problems.append(f"{name}: not stored under its own key")
+        images = files_under(self.images_root, ".xir")
         for path in images:
             name = os.path.basename(path)[: -len(".xir")]
             try:
@@ -367,28 +316,11 @@ class PersistentStageCache:
                 problems.append(f"image {name[:12]}: content digest mismatch")
             for defect in verify_image(data):
                 problems.append(f"image {name[:12]}: {defect}")
-        return len(entries) + len(images), problems
-
-    # -- hooks for tests ------------------------------------------------------
-    def stamp_version(self, version: int) -> None:
-        """Rewrite the index claiming ``version`` (schema-change tests)."""
-        entries = self._read_index()
-        payload = {
-            "version": version,
-            "pickle_protocol": PICKLE_PROTOCOL,
-            "entries": {k: e.to_json() for k, e in entries.items()},
-        }
-        atomic_write(
-            self.index_path, json.dumps(payload).encode("utf-8")
-        )
-        self._entries = None
+        return len(records) + len(images), problems
 
 
-def open_cache(
-    cache_dir: str | None,
-    factory: Callable[[str], PersistentStageCache] = PersistentStageCache,
-) -> PersistentStageCache | None:
+def open_cache(cache_dir: str | None) -> PersistentStageCache | None:
     """A cache for ``cache_dir``, or None when caching is disabled."""
     if not cache_dir:
         return None
-    return factory(cache_dir)
+    return PersistentStageCache(cache_dir)

@@ -32,9 +32,11 @@ for the affected identifiers and recomputes (incremental recomposition).
 
 A session may additionally be backed by a
 :class:`~repro.toolchain.diskcache.PersistentStageCache`: on an
-in-memory miss the disk index is consulted (guarded by the same source
-fingerprint, so stale entries never resurface), and freshly computed
-artifacts of the stages in :data:`PERSISTED_STAGES` are written back.
+in-memory miss the key's disk record is consulted (guarded by the same
+source fingerprint, so stale entries never resurface), and freshly
+computed artifacts of the stages in :data:`PERSISTED_STAGES` are written
+back.  A cache directory that cannot be written costs the reuse, never
+the build: the session warns once (``XPDL0403``) and carries on.
 This is what makes repeated ``xpdl build`` invocations — and the workers
 of one parallel build — share work across process boundaries.
 """
@@ -42,7 +44,7 @@ of one parallel build — share work across process boundaries.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping
 
 from ..analysis import (
@@ -58,7 +60,7 @@ from ..analysis import (
     runtime_default_filter,
 )
 from ..composer import ComposedModel, Composer
-from ..diagnostics import DiagnosticSink
+from ..diagnostics import DiagnosticSink, SourceSpan
 from ..inherit import InheritanceEngine
 from ..ir import IRModel
 from ..model import ModelElement
@@ -120,7 +122,8 @@ class ValidationResult:
 
 @dataclass
 class AnalysisResult:
-    """Outcome of the ``analyze`` stage: the analyzed composition."""
+    """Outcome of the ``analyze`` stage: the analyzed composition, a copy
+    of the compose artifact carrying what the analysis derived."""
 
     composed: ComposedModel
     cores: int
@@ -133,6 +136,7 @@ class EmitResult:
     """Outcome of the ``emit_ir`` stage."""
 
     ir: IRModel
+    #: The compose artifact; the IR is emitted from the analyzed copy.
     composed: ComposedModel
     dropped_attrs: int = 0
     dropped_elements: int = 0
@@ -218,6 +222,7 @@ class ToolchainSession:
         self._invalidations = 0
         self._disk_hits = 0
         self._disk_stores = 0
+        self._warned_unwritable = False
 
     # -- the generic stage protocol -----------------------------------------
     def request(self, stage: str, identifier: str, **options: Any) -> Any:
@@ -250,7 +255,10 @@ class ToolchainSession:
             self.disk_cache is not None and stage in PERSISTED_STAGES
         )
         if persistable:
-            value = self._disk_lookup(stage, identifier, options_key)
+            # The disk cache counts what it finds (corrupt records, write
+            # errors) on the active observer: make that this session's.
+            with use_observer(obs):
+                value = self._disk_lookup(stage, identifier, options_key)
             if value is not _DISK_MISS:
                 return value
         self._misses += 1
@@ -266,13 +274,29 @@ class ToolchainSession:
         self._cache[key] = _CacheEntry(value, sources, fingerprint)
         if persistable:
             assert self.disk_cache is not None
-            stored = self.disk_cache.store(
-                stage, identifier, repr(options_key), fingerprint, sources, value
-            )
+            with use_observer(obs):
+                stored = self.disk_cache.store(
+                    stage, identifier, repr(options_key), fingerprint, sources, value
+                )
             if stored:
                 self._disk_stores += 1
                 obs.count("toolchain.diskcache.stores")
+            elif self.disk_cache.write_error is not None:
+                self._warn_unwritable(self.disk_cache.write_error)
         return value
+
+    def _warn_unwritable(self, exc: OSError) -> None:
+        """Warn once per session that the cache directory takes no writes."""
+        if self._warned_unwritable:
+            return
+        self._warned_unwritable = True
+        assert self.disk_cache is not None
+        self.sink.warning(
+            "XPDL0403",
+            f"persistent cache {self.disk_cache.root} is not writable ({exc}); "
+            "building without storing stage artifacts",
+            SourceSpan.unknown(self.disk_cache.root),
+        )
 
     def _disk_lookup(self, stage: str, identifier: str, options_key: Any) -> Any:
         """Serve a stage from the persistent cache, or :data:`_DISK_MISS`.
@@ -294,7 +318,7 @@ class ToolchainSession:
         if not ok:
             obs.count("toolchain.diskcache.corrupt")
             return _DISK_MISS
-        # Blobs hold no sink: a composition served from disk reports to
+        # Records hold no sink: a composition served from disk reports to
         # this session, as a fresh compute would.
         composed = getattr(value, "composed", value)
         if isinstance(composed, ComposedModel):
@@ -459,7 +483,11 @@ class ToolchainSession:
     def _run_analyze(
         self, identifier: str, **compose_options: Any
     ) -> tuple[AnalysisResult, tuple[str, ...]]:
+        # Derive on a copy: the compose artifact stays as composed, so the
+        # doctor and every other reader of it see the same tree whether
+        # or not analyze ran first.
         composed = self.request("compose", identifier, **compose_options)
+        composed = replace(composed, root=composed.root.clone())
         links = downgrade_bandwidths(composed.root, self.sink)
         lint = lint_model(composed.root, self.sink)
         cores = count_cores(composed.root)
@@ -480,8 +508,7 @@ class ToolchainSession:
         **compose_options: Any,
     ) -> tuple[EmitResult, tuple[str, ...]]:
         analysis = self.request("analyze", identifier, **compose_options)
-        composed = analysis.composed
-        root = composed.root
+        root = analysis.composed.root
         dropped_attrs = dropped_elements = 0
         if not keep_all:
             root, dropped_attrs, dropped_elements = filter_model(
@@ -499,10 +526,18 @@ class ToolchainSession:
         if self.disk_cache is not None:
             try:
                 image_key = self.disk_cache.store_image(ir.to_bytes())
-            except OSError:
+            except OSError as exc:
                 # A read-only or full cache directory costs the fast
                 # open, never the build.
-                image_key = None
+                self._warn_unwritable(exc)
+        # Analyze has just requested the composition: read it back from
+        # the session cache without counting a second hit.
+        entry = self._cache.get(("compose", identifier, _freeze(compose_options)))
+        composed = (
+            entry.value
+            if entry is not None
+            else self.request("compose", identifier, **compose_options)
+        )
         result = EmitResult(
             ir=ir,
             composed=composed,

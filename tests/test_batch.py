@@ -244,6 +244,25 @@ class TestBuildCli:
         assert code == 0
         assert not os.path.exists(str(tmp_path / "never"))
 
+    def test_unwritable_cache_dir_warns_and_builds(self, capsys, tmp_path):
+        """A cache path that is a regular file costs the reuse, never the
+        build: one warning, and the IR of an uncached build."""
+        blocker = tmp_path / "F"
+        blocker.write_text("not a directory")
+        shas = []
+        for flags in (("--cache-dir", str(blocker)), ("--no-cache",)):
+            report = str(tmp_path / "report.json")
+            code, _out, err = run_cli(
+                capsys, "build", "liu_gpu_server", "-j", "1", *flags,
+                "--json", report,
+            )
+            assert code == 0, err
+            shas.append(json.load(open(report))["builds"][0]["ir_sha256"])
+            if flags[0] == "--cache-dir":
+                assert err.count("[XPDL0403]") == 1
+                assert str(blocker) in err
+        assert shas[0] == shas[1]
+
     def test_explicit_identifiers_only(self, capsys, tmp_path):
         report = str(tmp_path / "one.json")
         code, _out, _ = run_cli(
@@ -295,14 +314,23 @@ class TestCacheCli:
     def test_verify_flags_corruption(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "cache")
         self._prime(capsys, cache_dir)
-        objects = os.path.join(cache_dir, "objects")
-        for root, _dirs, names in os.walk(objects):
-            for name in names:
-                with open(os.path.join(root, name), "wb") as fh:
-                    fh.write(b"garbage")
+        stages = os.path.join(cache_dir, "stages")
+        records = [
+            os.path.join(root, name)
+            for root, _dirs, names in os.walk(stages)
+            for name in names
+        ]
+        assert records
+        for path in records:
+            with open(path, "r+b") as fh:
+                fh.seek(-1, os.SEEK_END)
+                last = fh.read(1)[0]
+                fh.seek(-1, os.SEEK_END)
+                fh.write(bytes([last ^ 0xFF]))  # same size, other bytes
         code, out, err = run_cli(capsys, "cache", "verify", "--cache-dir", cache_dir)
         assert code == 1
         assert "mismatch" in err
+        assert err.count("payload digest mismatch") == len(records)
 
 
 class TestBenchHarness:

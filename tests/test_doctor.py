@@ -190,6 +190,37 @@ class TestSeededCorpus:
         assert rep2.checked == ("seed_sys",)
 
 
+class TestAnalyzeLeavesCompositionAlone:
+    """``analyze`` derives on a copy of the composition, so what the
+    doctor sees does not depend on whether analyze ran first."""
+
+    def test_doctor_same_with_and_without_emit_ir(self):
+        fresh = seeded_session().doctor("seed_sys").to_dict()
+        session = seeded_session()
+        session.emit_ir("seed_sys")
+        assert session.doctor("seed_sys").to_dict() == fresh
+        assert any(
+            f["rule"] == "XPDL0715"
+            and f["severity"] == "error"
+            and "ic1: declared effective_bandwidth" in f["message"]
+            for f in fresh["findings"]
+        )
+
+    def test_analyze_leaves_compose_attributes_unchanged(self):
+        session = seeded_session()
+        composed = session.compose("seed_sys")
+        before = [dict(e.attrs) for e in composed.root.walk()]
+        analyzed = session.analyze("seed_sys").composed
+        assert [dict(e.attrs) for e in composed.root.walk()] == before
+        # The derived bandwidths live on the copy, and the IR carries them.
+        ic1 = [e for e in analyzed.root.walk() if e.ident == "ic1"]
+        original = [e for e in composed.root.walk() if e.ident == "ic1"]
+        assert ic1[0].attrs["effective_bandwidth"] != (
+            original[0].attrs["effective_bandwidth"]
+        )
+        assert session.emit_ir("seed_sys").composed is composed
+
+
 class TestCleanCorpus:
     def test_shipped_corpus_has_no_errors(self):
         session = ToolchainSession(standard_repository(), observer=Observer())

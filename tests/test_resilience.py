@@ -4,10 +4,12 @@ the fault-injection harness that drives them all."""
 
 from __future__ import annotations
 
-import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.diagnostics import (
     DiagnosticSink,
@@ -35,6 +37,7 @@ from repro.repository import (
     iter_store_chain,
     resilient_stack,
 )
+from repro.repository.store import write_record
 
 FILES = {"a.xpdl": "<cpu name='A'/>", "b.xpdl": "<cpu name='B'/>"}
 
@@ -273,34 +276,47 @@ class TestMirrorIndex:
         assert idx.put("a.xpdl", "<cpu name='A'/>")
         assert idx.get("a.xpdl") == "<cpu name='A'/>"
         assert idx.paths() == ["a.xpdl"]
-        blobs = list((tmp_path / "m" / "objects").rglob("*.xpdl"))
-        assert len(blobs) == 1
+        records = list((tmp_path / "m").rglob("*.rec"))
+        assert [str(r) for r in records] == [idx.record_path("a.xpdl")]
+        assert sorted(p.name for p in (tmp_path / "m").rglob("*")) == sorted(
+            [records[0].parent.name, records[0].name]
+        )  # no index, no objects/, no lock
 
     def test_identical_put_is_noop(self, tmp_path):
         idx = MirrorIndex(str(tmp_path))
         assert idx.put("a.xpdl", "x")
         assert not idx.put("a.xpdl", "x")
         assert idx.put("a.xpdl", "y")  # changed content counts
+        assert idx.get("a.xpdl") == "y"
+        assert idx.stats()["entries"] == 1
 
-    def test_corrupt_index_reads_empty(self, tmp_path):
+    def test_corrupt_record_is_not_listed(self, tmp_path):
         idx = MirrorIndex(str(tmp_path))
         idx.put("a.xpdl", "x")
-        (tmp_path / "index.json").write_text("not json at all")
-        assert MirrorIndex(str(tmp_path)).paths() == []
+        idx.put("b.xpdl", "y")
+        with open(idx.record_path("a.xpdl"), "wb") as fh:
+            fh.write(b"not a record at all")
+        obs = Observer()
+        with use_observer(obs):
+            assert MirrorIndex(str(tmp_path)).paths() == ["b.xpdl"]
+        assert obs.counters["cache.corrupt"] == 1
 
     def test_version_mismatch_reads_empty(self, tmp_path):
         idx = MirrorIndex(str(tmp_path))
         idx.put("a.xpdl", "x")
-        doc = json.loads((tmp_path / "index.json").read_text())
-        doc["version"] = 999
-        (tmp_path / "index.json").write_text(json.dumps(doc))
+        write_record(
+            idx.record_path("a.xpdl"), {"version": 999, "path": "a.xpdl"}, b"x"
+        )
         assert MirrorIndex(str(tmp_path)).get("a.xpdl") is None
 
     def test_corrupt_blob_reads_missing(self, tmp_path):
         idx = MirrorIndex(str(tmp_path))
         idx.put("a.xpdl", "<cpu name='A'/>")
-        blob = next((tmp_path / "objects").rglob("*.xpdl"))
-        blob.write_text("tampered")
+        record = idx.record_path("a.xpdl")
+        with open(record, "rb") as fh:
+            data = fh.read()
+        with open(record, "wb") as fh:
+            fh.write(data.replace(b"<cpu name='A'/>", b"<cpu name='B'/>"))
         assert MirrorIndex(str(tmp_path)).get("a.xpdl") is None
 
     def test_no_temp_droppings(self, tmp_path):
@@ -308,6 +324,54 @@ class TestMirrorIndex:
         for i in range(5):
             idx.put(f"f{i}.xpdl", f"<cpu name='C{i}'/>")
         assert not list(tmp_path.rglob(".tmp-*"))
+
+
+MIRROR_TEXT = "<cpu name='Fuzz' frequency='2' frequency_unit='GHz'/>"
+
+
+def _mirror_record() -> bytes:
+    with tempfile.TemporaryDirectory() as root:
+        idx = MirrorIndex(root)
+        idx.put("vendor/fuzz.xpdl", MIRROR_TEXT)
+        with open(idx.record_path("vendor/fuzz.xpdl"), "rb") as fh:
+            return fh.read()
+
+
+MIRROR_RECORD = _mirror_record()
+
+
+class TestMirrorRecordFuzz:
+    """A damaged mirror record is a counted miss or the mirrored text:
+    the reader never raises and never serves another text."""
+
+    def _check(self, data: bytes) -> None:
+        obs = Observer()
+        with tempfile.TemporaryDirectory() as root, use_observer(obs):
+            idx = MirrorIndex(root)
+            record = idx.record_path("vendor/fuzz.xpdl")
+            os.makedirs(os.path.dirname(record))
+            with open(record, "wb") as fh:
+                fh.write(data)
+            text = idx.get("vendor/fuzz.xpdl")
+        if text is None:
+            assert obs.counters.get("cache.corrupt", 0) == 1
+        else:
+            assert text == MIRROR_TEXT
+
+    @settings(max_examples=300, deadline=None)
+    @given(cut=st.integers(min_value=0, max_value=len(MIRROR_RECORD) - 1))
+    def test_truncated_record(self, cut):
+        self._check(MIRROR_RECORD[:cut])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        at=st.integers(min_value=0, max_value=len(MIRROR_RECORD) - 1),
+        mask=st.integers(min_value=1, max_value=255),
+    )
+    def test_flipped_byte(self, at, mask):
+        data = bytearray(MIRROR_RECORD)
+        data[at] ^= mask
+        self._check(bytes(data))
 
 
 class TestOfflineMirrorStore:

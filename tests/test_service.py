@@ -96,6 +96,19 @@ class TestDispatchOps:
         expected = merged_doctor_report(host.session).to_dict()
         assert body == expected
 
+    def test_doctor_after_a_query_matches_a_fresh_host(self):
+        from tests.test_doctor import SEEDED_FILES
+
+        fresh, _ = make_host(SEEDED_FILES)
+        _, expected = fresh.handle({"op": "doctor"})
+        host, _ = make_host(SEEDED_FILES)
+        status, _ = host.handle(
+            {"op": "query", "model": "seed_sys", "path": "//interconnect"}
+        )
+        assert status == 200
+        _, body = host.handle({"op": "doctor"})
+        assert body == expected
+
     def test_models_lists_index(self):
         host, _ = make_host()
         _, body = host.handle({"op": "models"})

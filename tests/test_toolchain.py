@@ -3,19 +3,25 @@
 from __future__ import annotations
 
 import hashlib
+import io
+import json
 import os
 import pickle
 import subprocess
 import sys
+import tempfile
 import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.diagnostics import DiagnosticSink
 from repro.modellib import PAPER_SYSTEMS, standard_repository
-from repro.obs import Observer
-from repro.repository import LocalDirStore, MemoryStore, ModelRepository
+from repro.obs import Observer, use_observer
+from repro.repository import LocalDirStore, MemoryStore, MirrorIndex, ModelRepository
+from repro.repository.store import files_under, read_record, write_record
 from repro.toolchain import (
     CACHE_SCHEMA_VERSION,
     STAGES,
@@ -36,6 +42,19 @@ SYSTEM = (
     "<cpu id='PE0' type='SynthCpu'/>"
     "</node></system>"
 )
+
+
+def stage_records(cache: PersistentStageCache, stage: str = "") -> list[str]:
+    """Record files of one stage (every stage when ``stage`` is empty)."""
+    return files_under(os.path.join(cache.stages_root, stage), ".rec")
+
+
+def rewrite_headers(cache: PersistentStageCache, **changes) -> None:
+    """Rewrite every stage record with ``changes`` in its header."""
+    for path in stage_records(cache):
+        header, payload = read_record(path, {})
+        header.update(changes)
+        write_record(path, header, payload)
 
 
 def make_session(files: dict[str, str]) -> tuple[ToolchainSession, MemoryStore, Observer]:
@@ -298,26 +317,48 @@ class TestPersistentCache:
         store = MemoryStore({"cpu.xpdl": CPU_V1, "sys.xpdl": SYSTEM})
         s1, _ = self._session(store, tmp_path)
         s1.emit_ir("SynthSys")
-        PersistentStageCache(str(tmp_path)).stamp_version(
-            CACHE_SCHEMA_VERSION + 1
+        rewrite_headers(
+            PersistentStageCache(str(tmp_path)), version=CACHE_SCHEMA_VERSION + 1
         )
         s2, o2 = self._session(store, tmp_path)
         s2.emit_ir("SynthSys")
         assert o2.counters["compose.runs"] == 1
         assert s2.cache_stats()["disk_hits"] == 0
+        # The recompute overwrote each foreign record with a current one.
+        s3, o3 = self._session(store, tmp_path)
+        s3.emit_ir("SynthSys")
+        assert o3.counters.get("compose.runs", 0) == 0
+
+    def test_schema3_directory_reads_as_empty(self, tmp_path):
+        """The index layout of schema 3 is never read; ``clear`` drops it
+        and keeps the offline mirror."""
+        (tmp_path / "index.json").write_text(
+            json.dumps({"version": 3, "pickle_protocol": 4, "entries": {}})
+        )
+        (tmp_path / "objects" / "ab").mkdir(parents=True)
+        (tmp_path / "objects" / "ab" / "ab12.bin").write_bytes(b"old blob")
+        (tmp_path / ".lock").write_text("")
+        mirror = MirrorIndex(str(tmp_path / "mirror"))
+        mirror.put("cpu.xpdl", CPU_V1)
+        store = MemoryStore({"cpu.xpdl": CPU_V1, "sys.xpdl": SYSTEM})
+        session, obs = self._session(store, tmp_path)
+        session.emit_ir("SynthSys")
+        assert obs.counters["compose.runs"] == 1
+        assert not session.sink.has_errors()
+        cache = PersistentStageCache(str(tmp_path))
+        assert cache.verify() == (4, [])
+        assert cache.clear() == 4
+        assert os.listdir(tmp_path) == ["mirror"]  # clear keeps the mirror
+        assert mirror.get("cpu.xpdl") == CPU_V1
 
     def test_corrupt_blob_is_a_miss_and_verify_reports_it(self, tmp_path):
         store = MemoryStore({"cpu.xpdl": CPU_V1, "sys.xpdl": SYSTEM})
         s1, _ = self._session(store, tmp_path)
         s1.emit_ir("SynthSys")
         cache = PersistentStageCache(str(tmp_path))
-        blobs = [
-            os.path.join(root, name)
-            for root, _dirs, names in os.walk(cache.objects_root)
-            for name in names
-        ]
-        assert blobs
-        for path in blobs:
+        records = stage_records(cache)
+        assert records
+        for path in records:
             with open(path, "wb") as fh:
                 fh.write(b"not a pickle")
 
@@ -327,7 +368,7 @@ class TestPersistentCache:
         s2, o2 = self._session(store, tmp_path)
         result = s2.emit_ir("SynthSys")  # miss + recompute, never a crash
         assert result.ir is not None
-        assert o2.counters["toolchain.diskcache.corrupt"] >= 1
+        assert o2.counters["cache.corrupt"] >= 1
         assert o2.counters["compose.runs"] == 1
 
     def test_concurrent_processes_share_one_cache(self, tmp_path):
@@ -407,11 +448,10 @@ class TestBlobsHoldOnlyTheArtifact:
         assert session.sink.sources  # what a pickled sink would drag along
         cache = PersistentStageCache(str(tmp_path))
         stages = []
-        for entry in cache.entries().values():
-            path = os.path.join(cache.objects_root, *entry.blob.split("/"))
-            with open(path, "rb") as fh:
-                _ArtifactOnlyUnpickler(fh).load()
-            stages.append(entry.stage)
+        for path in stage_records(cache):
+            header, payload = read_record(path, {})
+            _ArtifactOnlyUnpickler(io.BytesIO(payload)).load()
+            stages.append(header["stage"])
         assert sorted(stages) == ["analyze", "compose", "doctor", "emit_ir"]
 
     def test_disk_hit_composition_reports_to_the_session(self, tmp_path):
@@ -491,7 +531,9 @@ class TestInvalidationHooks:
 class TestDiskCacheErrorTyping:
     """Corruption paths are typed and counted, not swallowed bare."""
 
-    def _populated_cache(self, tmp_path) -> tuple[PersistentStageCache, object]:
+    KEY = ("emit_ir", "SynthSys")
+
+    def _populated_cache(self, tmp_path) -> tuple[PersistentStageCache, str]:
         store = MemoryStore({"cpu.xpdl": CPU_V1, "sys.xpdl": SYSTEM})
         cache = PersistentStageCache(str(tmp_path))
         session = ToolchainSession(
@@ -499,58 +541,53 @@ class TestDiskCacheErrorTyping:
         )
         session.emit_ir("SynthSys")
         fresh = PersistentStageCache(str(tmp_path))
-        entries = [
-            e for e in fresh.entries().values() if e.stage == "emit_ir"
-        ]
-        assert entries
-        return fresh, entries[0]
+        (path,) = stage_records(fresh, "emit_ir")
+        return fresh, path
 
-    def test_missing_blob_counts_cache_corrupt(self, tmp_path):
-        from repro.obs import use_observer
+    def _options(self, path: str) -> str:
+        with open(path, "rb") as fh:
+            return json.loads(fh.readline())["options"]
 
-        cache, entry = self._populated_cache(tmp_path)
-        os.unlink(cache._blob_path(entry.blob))
+    def test_missing_payload_counts_cache_corrupt(self, tmp_path):
+        cache, path = self._populated_cache(tmp_path)
+        options = self._options(path)
+        with open(path, "rb") as fh:
+            header_line = fh.readline()
+        with open(path, "wb") as fh:
+            fh.write(header_line)  # the header survives, the pickle is gone
         obs = Observer()
         with use_observer(obs):
-            ok, value = cache.load(entry)
-        assert (ok, value) == (False, None)
+            assert cache.lookup(*self.KEY, options) is None
         assert obs.counters["cache.corrupt"] == 1
 
     def test_digest_mismatch_counts_cache_corrupt(self, tmp_path):
-        from repro.obs import use_observer
-
-        cache, entry = self._populated_cache(tmp_path)
-        with open(cache._blob_path(entry.blob), "ab") as fh:
-            fh.write(b"tampered")
+        cache, path = self._populated_cache(tmp_path)
+        options = self._options(path)
+        with open(path, "r+b") as fh:
+            fh.seek(-1, os.SEEK_END)
+            last = fh.read(1)
+            fh.seek(-1, os.SEEK_END)
+            fh.write(bytes([last[0] ^ 0xFF]))  # same size, other bytes
         obs = Observer()
         with use_observer(obs):
-            ok, _ = cache.load(entry)
-        assert not ok
+            assert cache.lookup(*self.KEY, options) is None
         assert obs.counters["cache.corrupt"] == 1
 
     def test_garbled_pickle_counts_cache_corrupt(self, tmp_path):
-        import hashlib
-        from dataclasses import replace
-
-        from repro.obs import use_observer
-
-        cache, entry = self._populated_cache(tmp_path)
-        garbage = b"\x80\x04not really a pickle stream"
-        with open(cache._blob_path(entry.blob), "wb") as fh:
-            fh.write(garbage)
-        # keep the digest consistent so only unpickling can fail
-        entry = replace(
-            entry, sha256=hashlib.sha256(garbage).hexdigest()
-        )
+        cache, path = self._populated_cache(tmp_path)
+        header, _ = read_record(path, {})
+        # A whole record (size and digest agree) whose pickle is garbage,
+        # so only unpickling can fail.
+        write_record(path, header, b"\x80\x04not really a pickle stream")
         obs = Observer()
         with use_observer(obs):
+            entry = cache.lookup(*self.KEY, header["options"])
+            assert entry is not None
             ok, _ = cache.load(entry)
         assert not ok
         assert obs.counters["cache.corrupt"] == 1
 
     def test_unpicklable_value_counts_and_returns_false(self, tmp_path):
-        from repro.obs import use_observer
-
         cache = PersistentStageCache(str(tmp_path))
         obs = Observer()
         with use_observer(obs):
@@ -564,7 +601,35 @@ class TestDiskCacheErrorTyping:
             )
         assert stored is False
         assert obs.counters["cache.unpicklable"] == 1
-        assert cache.entries(refresh=True) == {}
+        assert cache.stats()["entries"] == 0
+
+    def test_unwritable_directory_counts_and_returns_false(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("a regular file, not a directory")
+        cache = PersistentStageCache(str(blocker))
+        obs = Observer()
+        with use_observer(obs):
+            stored = cache.store("emit_ir", "X", "opts", "fp", (), 42)
+            assert cache.lookup("emit_ir", "X", "opts") is None
+        assert stored is False
+        assert isinstance(cache.write_error, OSError)
+        assert obs.counters["cache.write_errors"] == 1
+        assert "cache.corrupt" not in obs.counters
+
+    def test_overwritten_key_loads_what_was_looked_up(self, tmp_path):
+        """Store A, look it up, store B under the same key: loading the
+        looked-up entry gives A or a miss, never B."""
+        cache = PersistentStageCache(str(tmp_path))
+        key = ("compose", "Sys", "()")
+        assert cache.store(*key, "fp-a", ("a.xpdl",), {"artifact": "A"})
+        entry = cache.lookup(*key)
+        assert entry is not None and entry.fingerprint == "fp-a"
+        assert cache.store(*key, "fp-b", ("b.xpdl",), {"artifact": "B"})
+        ok, value = cache.load(entry)
+        assert (ok, value) in ((True, {"artifact": "A"}), (False, None))
+        assert cache.stats()["entries"] == 1
+        fresh = cache.lookup(*key)
+        assert fresh is not None and fresh.fingerprint == "fp-b"
 
     def test_error_tuples_are_actual_exception_types(self):
         from repro.toolchain.diskcache import PICKLE_ERRORS, UNPICKLE_ERRORS
@@ -576,6 +641,67 @@ class TestDiskCacheErrorTyping:
             )
         assert Exception not in UNPICKLE_ERRORS
         assert Exception not in PICKLE_ERRORS
+
+
+#: One stored stage record, damaged by the fuzz below.
+FUZZ_KEY = ("compose", "FuzzSys", "(('expand', True),)")
+FUZZ_ARTIFACT = {"cores": 4, "sources": ("cpu.xpdl", "sys.xpdl")}
+
+
+def _stored_record() -> bytes:
+    with tempfile.TemporaryDirectory() as root:
+        cache = PersistentStageCache(root)
+        assert cache.store(*FUZZ_KEY, "f" * 64, ("cpu.xpdl",), FUZZ_ARTIFACT)
+        with open(cache.record_path(*FUZZ_KEY), "rb") as fh:
+            return fh.read()
+
+
+STORED_RECORD = _stored_record()
+
+
+def _read_damaged(data: bytes) -> tuple[bool, object, Observer]:
+    obs = Observer()
+    with tempfile.TemporaryDirectory() as root, use_observer(obs):
+        cache = PersistentStageCache(root)
+        path = cache.record_path(*FUZZ_KEY)
+        os.makedirs(os.path.dirname(path))
+        with open(path, "wb") as fh:
+            fh.write(data)
+        entry = cache.lookup(*FUZZ_KEY)
+        ok, value = cache.load(entry) if entry is not None else (False, None)
+    return ok, value, obs
+
+
+class TestStageRecordFuzz:
+    """A damaged stage record is a counted miss or the stored artifact:
+    the reader never raises and never returns another artifact."""
+
+    def _check(self, data: bytes) -> None:
+        ok, value, obs = _read_damaged(data)
+        if ok:
+            assert value == FUZZ_ARTIFACT
+        else:
+            assert obs.counters.get("cache.corrupt", 0) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(cut=st.integers(min_value=0, max_value=len(STORED_RECORD) - 1))
+    def test_truncated_record(self, cut):
+        self._check(STORED_RECORD[:cut])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        at=st.integers(min_value=0, max_value=len(STORED_RECORD) - 1),
+        mask=st.integers(min_value=1, max_value=255),
+    )
+    def test_flipped_byte(self, at, mask):
+        data = bytearray(STORED_RECORD)
+        data[at] ^= mask
+        self._check(bytes(data))
+
+    def test_intact_record_reads_back(self):
+        ok, value, obs = _read_damaged(STORED_RECORD)
+        assert ok and value == FUZZ_ARTIFACT
+        assert "cache.corrupt" not in obs.counters
 
 
 class TestDoctorStage:
