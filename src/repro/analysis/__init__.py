@@ -14,6 +14,7 @@ from .synthesized import (
 )
 from .bandwidth import (
     LinkReport,
+    derive_bandwidths,
     downgrade_bandwidths,
     path_bandwidth,
     topology_graph,
@@ -60,6 +61,7 @@ __all__ = [
     "physical_walk",
     "total_static_power",
     "LinkReport",
+    "derive_bandwidths",
     "downgrade_bandwidths",
     "path_bandwidth",
     "topology_graph",

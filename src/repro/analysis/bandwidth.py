@@ -53,16 +53,15 @@ def _endpoint_bandwidth(elem: ModelElement) -> Quantity | None:
     return best
 
 
-def downgrade_bandwidths(
-    root: ModelElement, sink: DiagnosticSink | None = None
-) -> list[LinkReport]:
-    """Compute and record effective bandwidths for all interconnects.
+def derive_bandwidths(root: ModelElement) -> list[LinkReport]:
+    """The effective bandwidth of every interconnect instance, derived
+    without writing anything into the model.
 
     Returns one report per interconnect instance that has endpoints.  The
-    ``effective_bandwidth`` attribute is written into the model so the
-    runtime IR carries it.
+    derivation reads only nominal and endpoint bandwidths, never a
+    derived value, so the reports do not depend on whether the model was
+    downgraded before.
     """
-    sink = sink if sink is not None else DiagnosticSink()
     by_id: dict[str, ModelElement] = {}
     for elem in root.walk():
         if elem.ident and elem.ident not in by_id:
@@ -88,24 +87,37 @@ def downgrade_bandwidths(
             if effective is None or cap < effective:
                 effective = cap
                 limiting = f"{end_name} {endpoint.label()} ({cap})"
-        if effective is not None:
-            ic.effective_bandwidth = effective
-            for ch in ic.find_all(Channel):
-                ch_bw = ch.max_bandwidth
-                ch_eff = effective if ch_bw is None or effective < ch_bw else ch_bw
-                ch.set_quantity("effective_bandwidth", ch_eff)
-        if (
-            nominal is not None
-            and effective is not None
-            and effective < nominal
-        ):
+        reports.append(LinkReport(ic, nominal, effective, limiting))
+    return reports
+
+
+def downgrade_bandwidths(
+    root: ModelElement, sink: DiagnosticSink | None = None
+) -> list[LinkReport]:
+    """Compute and record effective bandwidths for all interconnects.
+
+    Returns :func:`derive_bandwidths`' reports.  The
+    ``effective_bandwidth`` attribute is written into the model so the
+    runtime IR carries it, and each downgrade is noted (``XPDL0500``).
+    """
+    sink = sink if sink is not None else DiagnosticSink()
+    reports = derive_bandwidths(root)
+    for report in reports:
+        ic, nominal, effective = report.interconnect, report.nominal, report.effective
+        if effective is None:
+            continue
+        ic.effective_bandwidth = effective
+        for ch in ic.find_all(Channel):
+            ch_bw = ch.max_bandwidth
+            ch_eff = effective if ch_bw is None or effective < ch_bw else ch_bw
+            ch.set_quantity("effective_bandwidth", ch_eff)
+        if nominal is not None and effective < nominal:
             sink.note(
                 "XPDL0500",
                 f"interconnect {ic.label()}: bandwidth downgraded from "
-                f"{nominal} to {effective} (limited by {limiting})",
+                f"{nominal} to {effective} (limited by {report.limiting})",
                 ic.span,
             )
-        reports.append(LinkReport(ic, nominal, effective, limiting))
     return reports
 
 

@@ -59,12 +59,13 @@ from ..units import (
     TIME,
     VOLTAGE,
     Dimension,
+    Quantity,
     is_placeholder,
     is_unit_attribute,
     metric_for_unit_attribute,
     read_metric,
 )
-from .bandwidth import downgrade_bandwidths
+from .bandwidth import derive_bandwidths
 
 #: Identifier under which the repository-wide doctor pass is requested
 #: from the toolchain session (it is not a descriptor identifier).
@@ -823,6 +824,14 @@ def _check_group_cardinality(ctx: RuleContext) -> None:
             )
 
 
+def _as_recorded(value: Quantity) -> Quantity:
+    """``value`` as the downgrading pass writes it into the model and a
+    reader reads it back (canonical unit, 12 significant digits)."""
+    probe = Interconnect()
+    probe.effective_bandwidth = value
+    return probe.effective_bandwidth
+
+
 @rule(
     "XPDL0715",
     "bandwidth-downgrade",
@@ -833,12 +842,13 @@ def _check_group_cardinality(ctx: RuleContext) -> None:
 )
 def _check_bandwidth_consistency(ctx: RuleContext) -> None:
     assert ctx.root is not None
-    # Recompute the downgrade on a clone so the shared composed tree (and
-    # the analyze stage's own pass) is left untouched.
-    clone = ctx.root.clone()
-    downgrade_bandwidths(clone, DiagnosticSink(max_errors=100_000))
-    recomputed = clone.find_all(Interconnect)
-    for ic, fresh in zip(ctx.root.find_all(Interconnect), recomputed):
+    # Derive without writing: the shared composed tree stays untouched.
+    derived_of = {
+        id(link.interconnect): _as_recorded(link.effective)
+        for link in derive_bandwidths(ctx.root)
+        if link.effective is not None
+    }
+    for ic in ctx.root.find_all(Interconnect):
         try:
             declared = ic.effective_bandwidth
             nominal = ic.max_bandwidth
@@ -855,7 +865,7 @@ def _check_bandwidth_consistency(ctx: RuleContext) -> None:
                 span=ic.span,
             )
             continue
-        derived = fresh.effective_bandwidth
+        derived = derived_of.get(id(ic))
         if derived is not None and not declared.close_to(derived, rel=1e-6):
             ctx.report(
                 f"interconnect {ic.label()}: declared effective_bandwidth "
@@ -866,7 +876,7 @@ def _check_bandwidth_consistency(ctx: RuleContext) -> None:
                 hint="stale hand-written value? re-run `xpdl compose` "
                 "and let the analysis derive it",
             )
-        for ch, fresh_ch in zip(ic.find_all(Channel), fresh.find_all(Channel)):
+        for ch in ic.find_all(Channel):
             try:
                 ch_max = ch.max_bandwidth
             except UnitError:

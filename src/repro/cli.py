@@ -145,13 +145,15 @@ def cmd_compose(args) -> int:
     session = _session(args)
     result = session.emit_ir(args.identifier, keep_all=args.keep_all)
     _print_diagnostics(session.sink)
+    if session.sink.has_errors():
+        return 1
     out = args.output or f"{args.identifier}.xir"
     result.ir.save(out)
     print(
         f"composed {args.identifier}: {len(result.ir)} elements, "
-        f"{len(result.composed.referenced)} descriptors -> {out}"
+        f"{len(result.referenced)} descriptors -> {out}"
     )
-    return 1 if session.sink.has_errors() else 0
+    return 0
 
 
 def cmd_build(args) -> int:
@@ -185,6 +187,8 @@ def cmd_build(args) -> int:
             print(f"{b.identifier:24s} FAIL  {b.error}")
     built = sum(1 for b in report.builds if b.ok)
     cache = report.cache
+    # Name the cache directory only if it took a write or served a hit.
+    used = cache.get("disk_hits") or cache.get("disk_stores")
     print(
         f"built {built}/{len(report.builds)} systems in {report.wall_s:.2f}s "
         f"({report.models_per_s:.1f} models/s, jobs={report.jobs}, "
@@ -195,7 +199,7 @@ def cmd_build(args) -> int:
         f"{cache.get('disk_hits', 0)} disk hits, "
         f"{cache.get('misses', 0)} misses "
         f"(hit rate {report.hit_rate:.0%})"
-        + (f"; persistent cache at {report.cache_dir}" if report.cache_dir else "")
+        + (f"; persistent cache at {report.cache_dir}" if used else "")
     )
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -406,35 +410,43 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _fleet_model(session: ToolchainSession, identifier: str):
+    """The simulated testbed of ``identifier`` and its power-state
+    catalog, or None when the pipeline reported errors (printed here).
+
+    The catalog is read once through the query engine, over the emitted
+    model's image: no index is constructed for it.
+    """
+    from .fleet import index_state_catalog
+    from .runtime import xpdl_init_from_model
+    from .simhw import testbed_from_model
+
+    result = session.emit_ir(identifier)
+    _print_diagnostics(session.sink)
+    if session.sink.has_errors():
+        return None
+    testbed = testbed_from_model(
+        session.analyze(identifier).composed.root, name=identifier
+    )
+    return testbed, index_state_catalog(xpdl_init_from_model(result.ir), testbed)
+
+
 def cmd_fleet(args) -> int:
     """Fleet-scale energy simulation under a time-varying load trace.
 
-    Composes the model, compiles its runtime index, builds the simulated
-    testbed and runs every requested DVFS governor policy over the same
-    seeded trace, reporting per-policy energy and SLO attainment.
+    Composes the model, builds the simulated testbed and runs every
+    requested DVFS governor policy over the same seeded trace, reporting
+    per-policy energy and SLO attainment.
     """
-    from .fleet import (
-        GOVERNORS,
-        index_state_catalog,
-        make_trace,
-        simulate_fleet,
-    )
-    from .runtime import xpdl_init_from_model
-    from .simhw import testbed_from_model
+    from .fleet import GOVERNORS, make_trace, simulate_fleet
 
     if not args.model:
         print("xpdl: error: fleet requires --model", file=sys.stderr)
         return 2
-    session = _session(args)
-    result = session.emit_ir(args.model)
-    _print_diagnostics(session.sink)
-    if session.sink.has_errors():
+    model = _fleet_model(_session(args), args.model)
+    if model is None:
         return 1
-    testbed = testbed_from_model(
-        session.analyze(args.model).composed.root, name=args.model
-    )
-    ctx = xpdl_init_from_model(result.ir)
-    catalog = index_state_catalog(ctx, testbed)
+    testbed, catalog = model
     trace = make_trace(
         args.trace_kind,
         seed=args.seed,
@@ -467,35 +479,19 @@ def _print_fleet_report(args, report) -> None:
 def cmd_fleet_sweep(args) -> int:
     """Parallel (policy, trace, seed) grid sweep over one fleet model.
 
-    Composes the model once (persisting its XPDLRT02 image into the
-    content-addressed cache), then shards the grid across worker
-    processes that each reopen the image zero-copy and derive the
-    power-state catalog through the compiled query engine.  The report
-    is byte-identical for any ``--jobs``.
+    Composes the model once (through the persistent cache unless
+    ``--no-cache``), builds its power-state catalog once, then shards the
+    grid across worker processes that each get the testbed and the
+    catalog.  The report is byte-identical for any ``--jobs``.
     """
-    from .fleet import GOVERNORS, index_state_catalog, parse_seeds, run_sweep
-    from .runtime import xpdl_init_from_model
-    from .simhw import testbed_from_model
+    from .fleet import GOVERNORS, parse_seeds, run_sweep
     from .toolchain import PersistentStageCache
 
     cache = None if args.no_cache else PersistentStageCache(args.cache_dir)
-    session = ToolchainSession(_repository(args), disk_cache=cache)
-    result = session.emit_ir(args.model)
-    _print_diagnostics(session.sink)
-    if session.sink.has_errors():
+    model = _fleet_model(ToolchainSession(_repository(args), disk_cache=cache), args.model)
+    if model is None:
         return 1
-    testbed = testbed_from_model(
-        session.analyze(args.model).composed.root, name=args.model
-    )
-    image_path = None
-    catalog = None
-    if cache is not None and result.image_key:
-        image_path = cache.find_image(result.image_key)
-    if image_path is None:
-        # No persisted image to hand the workers: build the catalog once
-        # here and ship it, so workers still never re-index per cell.
-        ctx = xpdl_init_from_model(result.ir)
-        catalog = index_state_catalog(ctx, testbed)
+    testbed, catalog = model
 
     def _split(value: str) -> tuple[str, ...]:
         return tuple(s for s in (p.strip() for p in value.split(",")) if s)
@@ -509,7 +505,6 @@ def cmd_fleet_sweep(args) -> int:
         intervals=args.intervals,
         interval_s=args.interval_s,
         request_ops=args.request_ops,
-        image_path=image_path,
         state_catalog=catalog,
         jobs=args.jobs,
     )
@@ -1111,8 +1106,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = p.add_subparsers(metavar="COMMAND").add_parser(
         "sweep",
-        help="parallel (policy, trace, seed) grid sweep; workers reopen "
-        "the model zero-copy from the image cache",
+        help="parallel (policy, trace, seed) grid sweep across worker "
+        "processes",
         parents=[fleet_report(defaults=False), cached],
     )
     ps.add_argument(

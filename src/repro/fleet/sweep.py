@@ -8,13 +8,11 @@ of :func:`repro.toolchain.batch.run_tasks`, the one ``xpdl build`` uses
 in-process fallback for fork-restricted sandboxes).  Cells are dealt
 round-robin in policy-major order, so every worker runs a share of
 every governor (a race-to-idle cell costs two to three times another
-governor's).  Each worker reopens the hosted model *zero-copy* from
-the content-addressed image store (``.xpdl-cache/images/``):
-:func:`repro.runtime.xpdl_init` mmaps the XPDLRT02 image and adopts its
-persisted index sections (``index.load_mmap``, never ``index.rebuilds``), and
-:func:`~repro.fleet.simulator.index_state_catalog` is built exactly once
-per worker (``fleet.catalog_builds``) and shared by every cell the worker
-runs — no recomposition, no re-indexing, no per-cell catalog walks.
+governor's).  The caller builds the power-state catalog once
+(:func:`~repro.fleet.simulator.index_state_catalog`, over the emitted
+model, whose image's index sections it adopts) and every worker gets a
+copy of it with its cells: no recomposition, no re-indexing, no
+per-cell catalog walks.
 
 Determinism contract: every cell is a pure function of
 ``(testbed, trace, policy)``, workers return bit-exact
@@ -43,7 +41,6 @@ from .simulator import (
     DEFAULT_REQUEST_OPS,
     FleetSimulator,
     PolicyResult,
-    index_state_catalog,
 )
 from .traces import TRACE_KINDS, Trace, make_trace
 
@@ -110,7 +107,6 @@ class _SweepTask:
 
     worker_index: int
     testbed: SimTestbed
-    image_path: str | None
     catalog: dict[str, frozenset[str]] | None
     cells: tuple[tuple[int, SweepCell], ...]
     intervals: int
@@ -131,20 +127,9 @@ def _run_sweep_cells(task: _SweepTask) -> _WorkerOut:
     t0 = time.perf_counter()
     observer = Observer()
     with use_observer(observer):
-        catalog = task.catalog
-        if task.image_path is not None:
-            # Zero-copy reopen: mmap the persisted XPDLRT02 image and
-            # adopt its index sections; the catalog is then read through
-            # the compiled query API once for all of this worker's cells.
-            # A missing or unreadable image raises QueryError naming it.
-            from ..runtime import xpdl_init
-
-            ctx = xpdl_init(task.image_path)
-            observer.count("fleet.sweep.image_opens")
-            catalog = index_state_catalog(ctx, task.testbed)
         sim = FleetSimulator(
             task.testbed,
-            state_catalog=catalog,
+            state_catalog=task.catalog,
             request_ops=task.request_ops,
         )
         machine_names = sorted(task.testbed.machines)
@@ -376,19 +361,17 @@ def run_sweep(
     intervals: int = 72,
     interval_s: float = 60.0,
     request_ops: int = DEFAULT_REQUEST_OPS,
-    image_path: str | None = None,
     state_catalog: Mapping[str, frozenset[str]] | None = None,
     jobs: int | None = None,
     observer: Observer | None = None,
 ) -> tuple[SweepReport, SweepStats]:
     """Shard the grid across workers and merge one digest-stable report.
 
-    ``image_path`` points at a persisted XPDLRT02 runtime image; each
-    worker mmaps it and derives the state catalog through the compiled
-    query engine.  Without an image, ``state_catalog`` (built once by the
-    caller) is shipped to the workers instead; with neither, cells run
-    uncatalogued (no per-decision validation) — fine for synthetic
-    testbeds that never went through the toolchain.
+    ``state_catalog`` (built once by the caller with
+    :func:`~repro.fleet.simulator.index_state_catalog`) is shipped to the
+    workers; without it, cells run uncatalogued (no per-decision
+    validation) — fine for synthetic testbeds that never went through the
+    toolchain.
 
     Returns ``(report, stats)``: the report is byte-identical for any
     ``jobs``; the stats (wall, workers, merged counters) are not part of
@@ -441,7 +424,6 @@ def run_sweep(
         _SweepTask(
             worker_index=w,
             testbed=pruned,
-            image_path=image_path,
             catalog=dict(state_catalog) if state_catalog is not None else None,
             cells=tuple(shard),
             intervals=intervals,

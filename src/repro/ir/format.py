@@ -46,9 +46,6 @@ _NO_PARENT = 0xFFFFFFFF
 #: schema never changed across the binary version bump.
 _JSON_FORMATS = (MAGIC.decode(), MAGIC_V1.decode())
 
-_MISS = object()
-
-
 @dataclass(slots=True)
 class IRNode:
     """One flattened model element."""
@@ -128,7 +125,6 @@ class IRModel:
         self._by_id: dict[str, int] | None = None
         self._index = None  # lazily built IRIndex (the IR is read-only)
         self._image: IRImage | None = None
-        self._id_memo: dict[str, int | None] | None = None
         # Set when this model came from a persisted image *without* a
         # usable index (core-only or degraded): the live IRIndex
         # build then counts as an ``index.rebuilds`` — the startup tax
@@ -192,15 +188,10 @@ class IRModel:
         image = self._image
         if image is not None and image.index_ok:
             # Serve single lookups straight from the mapped IDTB section
-            # (memoized per id, hits and misses alike) — no full table.
-            memo = self._id_memo
-            if memo is None:
-                memo = self._id_memo = {}
-            idx = memo.get(ident, _MISS)
-            if idx is _MISS:
-                idx = memo[ident] = image.id_index(ident)
-            return self.nodes[idx] if idx is not None else None
-        idx = self._id_table().get(ident)
+            # (the image memoizes each id) — no full table.
+            idx = image.id_index(ident)
+        else:
+            idx = self._id_table().get(ident)
         return self.nodes[idx] if idx is not None else None
 
     def _id_table(self) -> dict[str, int]:
@@ -209,7 +200,10 @@ class IRModel:
         Duplicate ids are resolved first-wins, but *loudly*: every
         shadowed occurrence bumps the ``ir.id_shadowed`` counter and
         leaves a mark naming the id and both nodes, so silent aliasing in
-        composed models is visible in ``xpdl stats`` / traces.
+        composed models is visible in ``xpdl stats`` / traces.  The
+        image writer builds its ``IDTB`` section from this table, so a
+        model is counted once, when it is serialized, or on its first
+        lookup if it never is.
         """
         if self._by_id is None:
             table: dict[str, int] = {}
@@ -281,31 +275,23 @@ class IRModel:
 
     # -- pickling (stage caches ship IRModels across processes) -------------
     def __getstate__(self):
-        if self._image is not None:
-            # An image-backed model pickles as its serialized form: views
-            # into an mmap cannot cross process boundaries, the bytes can.
-            return {"image": self.to_bytes()}
-        return {"nodes": self.nodes, "meta": self.meta}
+        # A model pickles as its image: views into an mmap cannot cross
+        # process boundaries, the bytes can, and they unpickle zero-copy.
+        return {"image": self.to_bytes()}
 
     def __setstate__(self, state):
-        blob = state.get("image")
-        if blob is not None:
-            other = IRModel.from_bytes(blob)
-            self.__dict__.update(other.__dict__)
-        else:
-            self.__init__(state["nodes"], state["meta"])
+        self.__dict__.update(IRModel.from_bytes(state["image"]).__dict__)
 
     # -- binary encoding -----------------------------------------------------------
     def to_bytes(self) -> bytes:
         """Serialize as a v2 image (records + index sections).
 
         Deterministic for a given model.  A model opened from an intact
-        image re-serializes as the identical bytes without touching a
-        single lazy structure."""
+        image returns the identical bytes without touching a single lazy
+        structure; only a real serialization counts ``ir.bytes``."""
         if self._image is not None and self._image.index_ok:
-            blob = bytes(self._image.buffer)
-        else:
-            blob = build_image(self)
+            return bytes(self._image.buffer)
+        blob = build_image(self)
         get_observer().count("ir.bytes", len(blob))
         return blob
 

@@ -661,11 +661,8 @@ def _index_sections(ir, pool, pool_list, blobs, kind_ids):
         aeqv_data.extend(members)
     aeqv.extend(aeqv_data)
 
-    ids: dict[int, int] = {}
-    for node in ir.nodes:
-        nid = node.attrs.get("id")
-        if nid is not None:
-            ids.setdefault(pool[nid], node.index)
+    # The model's own id table: first wins, and shadowed ids are counted.
+    ids = {pool[nid]: idx for nid, idx in ir._id_table().items()}
     idtb = [len(ids)]
     for sid in sorted(ids):
         idtb.extend((sid, ids[sid]))

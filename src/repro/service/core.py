@@ -14,7 +14,8 @@ builders below, so both print the same bytes.
 Design points:
 
 * **Hosted models** — per identifier, the host keeps the emitted runtime
-  IR, its compiled index and one shared
+  IR (opened over its image, whose index sections serve as the compiled
+  index) and one shared
   :class:`~repro.runtime.query.QueryContext` (so interned handles and
   memoized analyses stay warm across requests), in an LRU ordered dict
   with **byte-size accounting** (:meth:`~repro.ir.IRModel.approx_size_bytes`).
@@ -73,7 +74,6 @@ from typing import Any, Callable, Iterator, Mapping
 from contextlib import contextmanager
 
 from ..diagnostics import QueryError, XpdlError
-from ..ir import IRModel
 from ..obs import Observer, use_observer
 from ..repository import ModelRepository
 from ..runtime import QueryContext, query_all, xpdl_init_from_model
@@ -149,16 +149,9 @@ class HostedModel:
     hits: int = 0
     refs: int = 0
     texts: list[str | None] = field(init=False, repr=False)
-    _ir_sha256: str | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.texts = [None] * len(self.ctx.ir)
-
-    def ir_sha256(self) -> str:
-        """SHA-256 of the serialized IR (lazy; cached per hosted entry)."""
-        if self._ir_sha256 is None:
-            self._ir_sha256 = self.emit.ir_sha256()
-        return self._ir_sha256
 
     def node_texts(self, handles: list[Any]) -> list[str]:
         """The encoded text of each handle's node, rendering (through
@@ -490,7 +483,10 @@ class ModelHost:
                 self._total_bytes -= entry.size_bytes
                 self.observer.count("service.model.reloads")
             self._generation += 1
-            ctx = self._open_context(result)
+            # The emitted IR is opened over its image: the context adopts
+            # the image's index sections, so hosting constructs no index.
+            with use_observer(self.observer):
+                ctx = xpdl_init_from_model(result.ir)
             new = HostedModel(
                 identifier=identifier,
                 emit=result,
@@ -508,36 +504,6 @@ class ModelHost:
             self.observer.count("service.model.builds")
             self._evict_locked()
             return new
-
-    def _open_context(self, result: EmitResult) -> QueryContext:
-        """Compile one query context, preferring the persisted image.
-
-        When the session's disk cache holds the v2 runtime image of this
-        emit artifact, mmap it — the persisted index sections are adopted
-        zero-copy and no :class:`IRIndex` is constructed.  Any defect in
-        the image (torn write, stale cache, bit rot) falls back to
-        compiling from the in-memory IR: slower, never wrong.
-        """
-        disk_cache = self._session.disk_cache
-        if disk_cache is not None and result.image_key:
-            path = disk_cache.find_image(result.image_key)
-            if path is not None:
-                try:
-                    with use_observer(self.observer):
-                        t0 = time.perf_counter()
-                        ir = IRModel.load(path)
-                        ctx = xpdl_init_from_model(ir)
-                        self.observer.count("service.model.image_opens")
-                        self.observer.record(
-                            "index.open_s", time.perf_counter() - t0
-                        )
-                    return ctx
-                except QueryError:
-                    # Structurally corrupt core sections: the content
-                    # address no longer matches what was stored.
-                    self.observer.count("service.model.image_corrupt")
-        with use_observer(self.observer):
-            return xpdl_init_from_model(result.ir)
 
     def _release(self, entry: HostedModel) -> None:
         with self._lock:
@@ -746,8 +712,8 @@ class ModelHost:
             return {
                 "model": model,
                 "elements": len(emit.ir),
-                "descriptors": len(emit.composed.referenced),
-                "ir_sha256": entry.ir_sha256(),
+                "descriptors": len(emit.referenced),
+                "ir_sha256": emit.ir_sha256(),
                 "dropped_attrs": emit.dropped_attrs,
                 "dropped_elements": emit.dropped_elements,
             }

@@ -315,7 +315,7 @@ def _run_worker(task: _WorkerTask) -> WorkerReport:
                     duration_s=time.perf_counter() - started,
                     ir_sha256=result.ir_sha256(),
                     elements=len(result.ir),
-                    referenced=len(result.composed.referenced),
+                    referenced=len(result.referenced),
                     out_path=out_path,
                 )
             )
@@ -329,7 +329,7 @@ def _run_worker(task: _WorkerTask) -> WorkerReport:
                 raise
             observer.count("batch.system_errors")
             sink.error(
-                "XPDL0401",
+                "XPDL0404",
                 f"building {ident!r} failed: {exc}",
                 SourceSpan.unknown(ident),
                 traceback.format_exc(),

@@ -80,8 +80,10 @@ PICKLE_ERRORS = (
 #: records written by other versions read as misses and are rewritten,
 #: never misread.  Version 2: pickled ``Quantity`` values carry
 #: ``written``.  Version 3: compositions pickle without their repository
-#: and sink.  Version 4: one record file per key, no index.
-CACHE_SCHEMA_VERSION = 4
+#: and sink.  Version 4: one record file per key, no index.  Version 5: an
+#: ``emit_ir`` record holds the runtime image alone, not a copy of the
+#: composition and a node list beside it.
+CACHE_SCHEMA_VERSION = 5
 
 #: Fixed pickle protocol so every writer produces compatible records.
 PICKLE_PROTOCOL = 4
@@ -240,10 +242,9 @@ class PersistentStageCache:
         return key
 
     def find_image(self, key: str) -> str | None:
-        """Path of a persisted image, or None (caller falls back to a
-        live build — a missing image is a cold cache, not an error)."""
-        if not key:
-            return None
+        """Path of a persisted image, for an application to map with
+        :func:`~repro.runtime.xpdl_init`, or None (a cold cache, not an
+        error)."""
         path = self.image_path(key)
         return path if os.path.exists(path) else None
 

@@ -133,25 +133,21 @@ class AnalysisResult:
 
 @dataclass
 class EmitResult:
-    """Outcome of the ``emit_ir`` stage."""
+    """Outcome of the ``emit_ir`` stage: the runtime model, opened over
+    its one serialized v2 image (the Sec. IV run-time data structure)."""
 
     ir: IRModel
-    #: The compose artifact; the IR is emitted from the analyzed copy.
-    composed: ComposedModel
+    #: Identifiers of the descriptors the composition read.
+    referenced: tuple[str, ...]
+    #: SHA-256 of the image bytes: the content address a disk cache
+    #: stores the image under (``images/``).
+    image_key: str
     dropped_attrs: int = 0
     dropped_elements: int = 0
-    #: Content-address of the persisted v2 runtime image in the disk
-    #: cache (``images/``), or None when no disk cache was configured.
-    #: Consumers (:class:`repro.service.core.ModelHost`) mmap this image
-    #: for a zero-copy open instead of re-deriving the index.
-    image_key: str | None = None
 
     def ir_sha256(self) -> str:
-        """SHA-256 of the serialized IR.  The image key is that digest
-        already; only without a stored image is the IR serialized."""
-        if self.image_key:
-            return self.image_key
-        return hashlib.sha256(self.ir.to_bytes()).hexdigest()
+        """SHA-256 of the serialized IR, which the image key is."""
+        return self.image_key
 
 
 @dataclass
@@ -507,43 +503,35 @@ class ToolchainSession:
         keep_all: bool = False,
         **compose_options: Any,
     ) -> tuple[EmitResult, tuple[str, ...]]:
-        analysis = self.request("analyze", identifier, **compose_options)
-        root = analysis.composed.root
+        composed = self.request("analyze", identifier, **compose_options).composed
+        root = composed.root
         dropped_attrs = dropped_elements = 0
         if not keep_all:
             root, dropped_attrs, dropped_elements = filter_model(
                 root, runtime_default_filter()
             )
-        ir = IRModel.from_model(
+        # Serialize once; the artifact is the model opened over those bytes.
+        image = IRModel.from_model(
             root,
             {
                 "system": identifier,
                 "tool": "xpdl compose",
                 "schema": f"{CORE_SCHEMA.name} {CORE_SCHEMA.version}",
             },
-        )
-        image_key: str | None = None
+        ).to_bytes()
         if self.disk_cache is not None:
             try:
-                image_key = self.disk_cache.store_image(ir.to_bytes())
+                self.disk_cache.store_image(image)
             except OSError as exc:
-                # A read-only or full cache directory costs the fast
-                # open, never the build.
+                # A read-only or full cache directory costs the image
+                # file, never the build.
                 self._warn_unwritable(exc)
-        # Analyze has just requested the composition: read it back from
-        # the session cache without counting a second hit.
-        entry = self._cache.get(("compose", identifier, _freeze(compose_options)))
-        composed = (
-            entry.value
-            if entry is not None
-            else self.request("compose", identifier, **compose_options)
-        )
         result = EmitResult(
-            ir=ir,
-            composed=composed,
+            ir=IRModel.from_bytes(image),
+            referenced=composed.referenced,
+            image_key=hashlib.sha256(image).hexdigest(),
             dropped_attrs=dropped_attrs,
             dropped_elements=dropped_elements,
-            image_key=image_key,
         )
         return result, composed.referenced or (identifier,)
 

@@ -11,7 +11,7 @@ import pytest
 
 from repro.cli import main
 from repro.diagnostics import DiagnosticSink, XpdlError
-from repro.ir import IRModel
+from repro.ir import format as ir_format
 from repro.modellib import standard_repository
 from repro.obs import Observer
 from repro.toolchain import batch as batch_module
@@ -97,16 +97,16 @@ class TestBatchBuild:
     def test_ir_sha256_same_with_no_cold_and_warm_cache(
         self, tmp_path, monkeypatch
     ):
-        """The SHA a build reports is the IR's whether it was hashed, read
-        from a freshly stored image's key, or from a cached one's."""
+        """The SHA a build reports is its image's key, with or without a
+        cache: each emitted IR is serialized once, a cached one never."""
         serialized = []
-        to_bytes = IRModel.to_bytes
+        build_image = ir_format.build_image
 
-        def counting_to_bytes(ir):
+        def counting_build_image(ir, **kw):
             serialized.append(ir)
-            return to_bytes(ir)
+            return build_image(ir, **kw)
 
-        monkeypatch.setattr(IRModel, "to_bytes", counting_to_bytes)
+        monkeypatch.setattr(ir_format, "build_image", counting_build_image)
 
         def build(cache_dir):
             serialized.clear()
@@ -118,9 +118,9 @@ class TestBatchBuild:
         uncached = build(None)
         assert len(serialized) == len(uncached)
         cold = build(cache_dir)
-        assert len(serialized) == len(cold)  # once, for the stored image
+        assert len(serialized) == len(cold)  # storing the record adds none
         warm = build(cache_dir)
-        assert serialized == []  # every SHA is an image key
+        assert serialized == []  # every SHA is a cached image's key
         assert uncached == cold == warm
 
     def test_merged_counters_and_diagnostics(self):
@@ -262,6 +262,23 @@ class TestBuildCli:
                 assert err.count("[XPDL0403]") == 1
                 assert str(blocker) in err
         assert shas[0] == shas[1]
+
+    def test_summary_names_only_a_cache_that_was_used(self, capsys, tmp_path):
+        """``; persistent cache at DIR`` closes the summary only when the
+        directory took a write or served a hit."""
+        blocker = tmp_path / "F"
+        blocker.write_text("not a directory")
+        cache_dir = str(tmp_path / "cache")
+        outs = []
+        for where in (str(blocker), cache_dir, cache_dir):
+            code, out, err = run_cli(
+                capsys, "build", "liu_gpu_server", "-j", "1", "--cache-dir", where
+            )
+            assert code == 0, err
+            outs.append(out)
+        assert "persistent cache at" not in outs[0]
+        for out in outs[1:]:  # cold (stores), then warm (hits)
+            assert f"; persistent cache at {os.path.abspath(cache_dir)}" in out
 
     def test_explicit_identifiers_only(self, capsys, tmp_path):
         report = str(tmp_path / "one.json")

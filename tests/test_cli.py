@@ -77,6 +77,35 @@ class TestComposeInfoQuery:
         assert any("cflags" in n.attrs for n in ir.nodes)
 
 
+class TestComposeOutput:
+    def test_errors_write_no_model(self, capsys, tmp_path):
+        lib = tmp_path / "lib"
+        lib.mkdir()
+        (lib / "badchip.xpdl").write_text('<cpu name="BadChip">&bogus;<core/></cpu>')
+        (lib / "badsys.xpdl").write_text(
+            '<system id="badsys"><cpu id="c0" type="BadChip"/></system>'
+        )
+        out_file = tmp_path / "bad.xir"
+        code, out, err = run_cli(
+            capsys, "-I", str(lib), "compose", "badsys", "-o", str(out_file)
+        )
+        assert code == 1
+        assert "[XML0012]" in err
+        assert "composed" not in out
+        assert not out_file.exists()
+
+    def test_clean_compose_writes_the_same_bytes(self, capsys, tmp_path):
+        out_file = tmp_path / "liu.xir"
+        code, out, _ = run_cli(capsys, "compose", "liu_gpu_server", "-o", str(out_file))
+        assert code == 0
+        assert out == (
+            f"composed liu_gpu_server: 2694 elements, 19 descriptors -> {out_file}\n"
+        )
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == (
+            "546e322b6ed41cf294cd41e626b15656384d6216ca7d78faedf94c4d721b9432"
+        )
+
+
 class TestBenchgen:
     def test_generates_sources_and_script(self, capsys, tmp_path):
         d = str(tmp_path / "mb")

@@ -330,7 +330,8 @@ class TestBatchErrorHandling:
         assert build.error == "ValueError: exploded"
         assert report.counters.get("batch.system_errors") == 1
         rendered = sink.render()
-        assert "XPDL0401" in rendered
+        assert "XPDL0404" in rendered
+        assert "XPDL0401" not in rendered  # that code is a negative quantity
         # The attached hint carries the worker-side traceback.
         assert any(
             "Traceback (most recent call last)" in hint

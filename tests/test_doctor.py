@@ -218,7 +218,101 @@ class TestAnalyzeLeavesCompositionAlone:
         assert ic1[0].attrs["effective_bandwidth"] != (
             original[0].attrs["effective_bandwidth"]
         )
-        assert session.emit_ir("seed_sys").composed is composed
+        emitted = session.emit_ir("seed_sys").ir.by_id("ic1")
+        assert emitted.attrs["effective_bandwidth"] == (
+            ic1[0].attrs["effective_bandwidth"]
+        )
+        assert session.compose("seed_sys") is composed
+        assert [dict(e.attrs) for e in composed.root.walk()] == before
+
+
+# Hand-written effective bandwidths against the derived ones: matching
+# (in other units), contradicting, over the nominal, derived from the
+# nominal alone, limited by a GiB/s endpoint, with nothing derived, and on
+# a technology meta-model that is no link instance.
+BANDWIDTH_SYSTEM = (
+    "<system id='bw_sys'><node>"
+    "<cpu id='cpu0'/>"
+    "<memory id='mem8' bandwidth='8' bandwidth_unit='GB/s'/>"
+    "<memory id='memg' bandwidth='1' bandwidth_unit='GiB/s'/>"
+    "<interconnect id='ic_match' head='cpu0' tail='mem8' "
+    "max_bandwidth='10' max_bandwidth_unit='GB/s' "
+    "effective_bandwidth='8000' effective_bandwidth_unit='MB/s'>"
+    "<channel name='down' max_bandwidth='12' max_bandwidth_unit='GB/s'/>"
+    "<channel name='up' max_bandwidth='4' max_bandwidth_unit='GB/s'/>"
+    "</interconnect>"
+    "<interconnect id='ic_contra' head='cpu0' tail='mem8' "
+    "max_bandwidth='10' max_bandwidth_unit='GB/s' "
+    "effective_bandwidth='9' effective_bandwidth_unit='GB/s'/>"
+    "<interconnect id='ic_over' head='cpu0' tail='mem8' "
+    "max_bandwidth='10' max_bandwidth_unit='GB/s' "
+    "effective_bandwidth='20' effective_bandwidth_unit='GB/s'>"
+    "<channel name='up' max_bandwidth='99' max_bandwidth_unit='GB/s'/>"
+    "</interconnect>"
+    "<interconnect id='ic_nominal' head='cpu0' tail='nowhere' "
+    "max_bandwidth='3' max_bandwidth_unit='GiB/s' "
+    "effective_bandwidth='3' effective_bandwidth_unit='GB/s'/>"
+    "<interconnect id='ic_gib' head='memg' tail='cpu0' "
+    "max_bandwidth='7' max_bandwidth_unit='GB/s' "
+    "effective_bandwidth='1' effective_bandwidth_unit='GB/s'/>"
+    "<interconnect id='ic_free' head='cpu0' tail='nowhere' "
+    "effective_bandwidth='4' effective_bandwidth_unit='GB/s'/>"
+    "<interconnect id='ic_meta' "
+    "max_bandwidth='10' max_bandwidth_unit='GB/s' "
+    "effective_bandwidth='2' effective_bandwidth_unit='GB/s'/>"
+    "</node></system>"
+)
+
+
+class TestBandwidthRule:
+    """XPDL0715 reads the derivation without cloning the composition."""
+
+    def test_findings_for_hand_written_values(self):
+        session = ToolchainSession(
+            ModelRepository([MemoryStore({"bw.xpdl": BANDWIDTH_SYSTEM})]),
+            sink=DiagnosticSink(max_errors=10_000),
+            observer=Observer(),
+        )
+        composed = session.compose("bw_sys")
+        before = [dict(e.attrs) for e in composed.root.walk()]
+        findings = [
+            (f["severity"], f["location"], f["message"])
+            for f in session.doctor("bw_sys").to_dict()["findings"]
+            if f["rule"] == "XPDL0715"
+        ]
+        assert findings == [
+            (
+                "error",
+                "mem:bw.xpdl:1:1003-1154",
+                "interconnect ic_gib: declared effective_bandwidth 1e+09 B/s "
+                "contradicts the downgrading analysis (1.07374e+09 B/s)",
+            ),
+            (
+                "warning",
+                "mem:bw.xpdl:1:310-377",
+                "channel down of ic_match claims 1.2e+10 B/s, more than its "
+                "link's nominal 1e+10 B/s",
+            ),
+            (
+                "error",
+                "mem:bw.xpdl:1:456-611",
+                "interconnect ic_contra: declared effective_bandwidth 9e+09 B/s "
+                "contradicts the downgrading analysis (8e+09 B/s)",
+            ),
+            (
+                "error",
+                "mem:bw.xpdl:1:611-844",
+                "interconnect ic_over: declared effective_bandwidth 2e+10 B/s "
+                "exceeds the nominal max_bandwidth 1e+10 B/s",
+            ),
+            (
+                "error",
+                "mem:bw.xpdl:1:844-1003",
+                "interconnect ic_nominal: declared effective_bandwidth 3e+09 B/s "
+                "contradicts the downgrading analysis (3.22123e+09 B/s)",
+            ),
+        ]
+        assert [dict(e.attrs) for e in composed.root.walk()] == before
 
 
 class TestCleanCorpus:

@@ -86,6 +86,13 @@ class TestParameterizedQuantity:
         assert any(d.code == "XPDL0400" for d in sink)
         assert out.attrs.get("expanded") != "true"
 
+    def test_negative_quantity_reported(self):
+        g = model('<group quantity="-2"><core/></group>')
+        sink = DiagnosticSink()
+        out = expand_groups(g, {}, sink)
+        assert [d.code for d in sink] == ["XPDL0401"]
+        assert out.attrs.get("expanded") != "true"
+
     def test_zero_quantity(self):
         g = model('<group prefix="x" quantity="0"><core/></group>')
         out = expand_groups(g)

@@ -246,8 +246,11 @@ class TestCounterTotalsMatchModel:
         session = ToolchainSession(repo, observer=obs)
         result = session.emit_ir("myriad_server")
         assert obs.counters["ir.nodes"] == len(result.ir)
+        # Emitting serialized the IR once; reading its image back
+        # serializes nothing more.
         with use_observer(obs):
             blob = result.ir.to_bytes()
+        assert obs.counters["ir.emits"] == 1
         assert obs.counters["ir.bytes"] == len(blob)
 
     def test_parse_counters_accumulate(self, repo):

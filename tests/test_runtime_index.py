@@ -210,6 +210,26 @@ class TestDuplicateIds:
             assert marks[0].fields["kept_kind"] == "cpu"
             assert marks[0].fields["shadowed_kind"] == "device"
 
+    def test_session_emitted_model_counts_once(self):
+        """The emitted model is opened over its image; the shadowed id is
+        counted once, when the image's id table is written."""
+        from repro.repository import MemoryStore, ModelRepository
+        from repro.toolchain import ToolchainSession
+
+        store = MemoryStore(
+            {"sys.xpdl": "<system id='dup_sys'><cpu id='dup'/><device id='dup'/></system>"}
+        )
+        obs = Observer()
+        ir = ToolchainSession(ModelRepository([store]), observer=obs).emit_ir(
+            "dup_sys"
+        ).ir
+        with use_observer(obs):
+            assert ir.by_id("dup").kind == "cpu"
+            assert ir.by_id("dup").kind == "cpu"
+        assert obs.counter("ir.id_shadowed") == 1
+        marks = [e for e in obs.events if e.name == "ir.id_shadowed"]
+        assert [m.fields["shadowed_kind"] for m in marks] == ["device"]
+
     def test_unique_ids_stay_silent(self):
         ir = ir_from_spec(SAMPLE_SPEC)
         with use_observer(Observer()) as obs:

@@ -118,7 +118,7 @@ class TestCacheCorrectness:
         session, _, obs = make_session({"cpu.xpdl": CPU_V1, "sys.xpdl": SYSTEM})
         composed = session.compose("SynthSys")
         emitted = session.emit_ir("SynthSys")
-        assert emitted.composed is composed
+        assert emitted.referenced == composed.referenced
         assert obs.counters["compose.runs"] == 1
         assert obs.counters["toolchain.cache.hits.compose"] >= 1
 
@@ -329,6 +329,19 @@ class TestPersistentCache:
         s3.emit_ir("SynthSys")
         assert o3.counters.get("compose.runs", 0) == 0
 
+    def test_schema4_records_read_as_empty(self, tmp_path):
+        """Schema 4 pickled a composition and a node list into each
+        ``emit_ir`` record; such a cache is rebuilt, never misread."""
+        store = MemoryStore({"cpu.xpdl": CPU_V1, "sys.xpdl": SYSTEM})
+        s1, _ = self._session(store, tmp_path)
+        want = s1.emit_ir("SynthSys").ir_sha256()
+        rewrite_headers(PersistentStageCache(str(tmp_path)), version=4)
+        s2, o2 = self._session(store, tmp_path)
+        assert s2.emit_ir("SynthSys").ir_sha256() == want
+        assert o2.counters["compose.runs"] == 1
+        assert s2.cache_stats()["disk_hits"] == 0
+        assert not s2.sink.has_errors()
+
     def test_schema3_directory_reads_as_empty(self, tmp_path):
         """The index layout of schema 3 is never read; ``clear`` drops it
         and keeps the offline mirror."""
@@ -429,6 +442,16 @@ class _ArtifactOnlyUnpickler(pickle.Unpickler):
         return super().find_class(module, name)
 
 
+class _ImageOnlyUnpickler(_ArtifactOnlyUnpickler):
+    """Refuses what an ``emit_ir`` record held beside the image before
+    the image became the one copy of the model."""
+
+    def find_class(self, module, name):
+        if name in ("ComposedModel", "IRNode"):
+            raise pickle.UnpicklingError(f"emit_ir record holds {module}.{name}")
+        return super().find_class(module, name)
+
+
 class TestBlobsHoldOnlyTheArtifact:
     """Stage blobs are plain data; a disk hit reports to the session that
     loads it, exactly as a fresh compute in that session would."""
@@ -461,7 +484,8 @@ class TestBlobsHoldOnlyTheArtifact:
         analyzed = session.analyze(self.SYSTEM)
         composed = session.compose(self.SYSTEM)
         assert session.cache_stats()["disk_hits"] == 3
-        for hit in (emitted.composed, analyzed.composed, composed):
+        assert emitted.referenced == composed.referenced
+        for hit in (analyzed.composed, composed):
             assert hit.sink is session.sink
 
     def test_image_key_is_the_ir_digest(self, tmp_path):
@@ -470,15 +494,26 @@ class TestBlobsHoldOnlyTheArtifact:
         loaded = loaded_from.emit_ir(self.SYSTEM)
         assert loaded_from.cache_stats()["disk_hits"] == 1
         digest = hashlib.sha256(fresh.ir.to_bytes()).hexdigest()
-        for result in (fresh, loaded):
+        # Without a disk cache the emitted IR is an image all the same.
+        uncached = ToolchainSession(standard_repository()).emit_ir(self.SYSTEM)
+        for result in (fresh, loaded, uncached):
+            assert result.ir._image is not None
             assert result.image_key == hashlib.sha256(
                 result.ir.to_bytes()
             ).hexdigest()
             assert result.ir_sha256() == result.image_key == digest
-        # Without a disk cache there is no image: the IR is serialized.
-        uncached = ToolchainSession(standard_repository()).emit_ir(self.SYSTEM)
-        assert uncached.image_key is None
-        assert uncached.ir_sha256() == digest
+
+    def test_emit_ir_record_holds_one_copy_of_the_model(self, tmp_path):
+        """The record pickles the image alone: no composition and no
+        node list beside it."""
+        emitted = self._session(tmp_path).emit_ir(self.SYSTEM)
+        image = emitted.ir.to_bytes()
+        (path,) = stage_records(PersistentStageCache(str(tmp_path)), "emit_ir")
+        _header, payload = read_record(path, {})
+        loaded = _ImageOnlyUnpickler(io.BytesIO(payload)).load()
+        assert loaded.ir.to_bytes() == image
+        assert loaded.referenced == emitted.referenced
+        assert len(image) < len(payload) < len(image) + 4096
 
 
 class TestInvalidationHooks:

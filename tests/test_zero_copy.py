@@ -15,10 +15,11 @@ Covers the PR-7 acceptance criteria:
   rebuild with a warning and correct answers; damaged *core* sections
   raise :class:`QueryError`.
 * **Cache integration** — ``emit_ir`` persists the image in the disk
-  cache, :class:`ModelHost` reopens it with zero index construction, and
-  ``xpdl cache verify`` exits nonzero on a corrupted image; every model
-  ``xpdl build`` writes reopens twice without building an index and
-  answers the analyses like an eager index.
+  cache and its record, :class:`ModelHost` reopens the record with zero
+  index construction, a corrupted record is a counted miss that is
+  rebuilt, and ``xpdl cache verify`` exits nonzero on a corrupted image;
+  every model ``xpdl build`` writes reopens twice without building an
+  index and answers the analyses like an eager index.
 * **Lazy reads** — path queries and the model analyses over an image
   materialize only the IR nodes whose attributes they read.
 """
@@ -26,7 +27,10 @@ Covers the PR-7 acceptance criteria:
 from __future__ import annotations
 
 import glob
+import hashlib
+import os
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -342,8 +346,11 @@ class TestCacheIntegration:
         with host1.lease("odroid_xu3") as entry:
             n = len(entry.ctx.ir)
             key = entry.emit.image_key
-            sha = entry.ir_sha256()
-        assert key == sha  # the image *is* the content address
+            image = entry.emit.ir.to_bytes()
+        # The image *is* the content address, and images/ holds it.
+        assert hashlib.sha256(image).hexdigest() == key
+        path = host1.session.disk_cache.find_image(key)
+        assert path is not None and Path(path).read_bytes() == image
 
         # A second host over the same cache (a fresh process, in effect)
         # must adopt the persisted index: zero construction on reopen.
@@ -353,35 +360,43 @@ class TestCacheIntegration:
             warnings.simplefilter("error", XirImageWarning)
             with host2.lease("odroid_xu3") as entry:
                 assert len(entry.ctx.ir) == n
-        assert obs2.counters.get("service.model.image_opens") == 1
+                assert entry.emit.image_key == key
+        assert obs2.counters.get("toolchain.diskcache.hits.emit_ir") == 1
         assert obs2.counters.get("index.load_mmap") == 1
+        assert obs2.counters.get("runtime.index_builds", 0) == 0
         assert "index.rebuilds" not in obs2.counters
 
-    def test_corrupt_cached_image_falls_back(self, tmp_path):
-        from repro.service.core import ModelHost
+    def test_corrupt_emit_record_is_a_counted_miss(self, tmp_path):
+        from repro.repository.store import files_under
+        from repro.service.core import ModelHost, info_payload
 
         cache_dir = str(tmp_path / "cache")
         host1 = ModelHost(cache_dir=cache_dir)
         with host1.lease("odroid_xu3") as entry:
             key = entry.emit.image_key
-            want = len(entry.ctx.ir)
-        image = host1.session.disk_cache.image_path(key)
-        raw = bytearray(open(image, "rb").read())
-        raw[len(raw) // 2] ^= 0xFF  # lands in a section payload
-        open(image, "wb").write(bytes(raw))
+            want = info_payload(entry.ctx)
+        stages = host1.session.disk_cache.stages_root
+        (record,) = files_under(os.path.join(stages, "emit_ir"), ".rec")
+        raw = bytearray(Path(record).read_bytes())
+        raw[len(raw) // 2] ^= 0xFF  # lands in the pickled image
+        Path(record).write_bytes(bytes(raw))
 
         obs = Observer()
         host2 = ModelHost(observer=obs, cache_dir=cache_dir)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", XirImageWarning)
+            warnings.simplefilter("error", XirImageWarning)
             with host2.lease("odroid_xu3") as entry:
-                assert len(entry.ctx.ir) == want  # never wrong answers
-        # Either core damage (image_corrupt + in-memory compile) or index
-        # damage (degraded open + rebuild); both are loud and correct.
-        assert (
-            obs.counters.get("service.model.image_corrupt", 0)
-            + obs.counters.get("index.rebuilds", 0)
-        ) >= 1
+                assert entry.emit.image_key == key
+                assert info_payload(entry.ctx) == want  # never wrong answers
+        assert obs.counters.get("cache.corrupt") == 1
+        assert obs.counters.get("toolchain.cache.misses.emit_ir") == 1
+        assert "index.rebuilds" not in obs.counters
+        # The rebuild overwrote the record: a third host reads it again.
+        obs3 = Observer()
+        with ModelHost(observer=obs3, cache_dir=cache_dir).lease("odroid_xu3"):
+            pass
+        assert obs3.counters.get("toolchain.diskcache.hits.emit_ir") == 1
+        assert "cache.corrupt" not in obs3.counters
 
     def test_cache_verify_cli_fails_on_corrupt_image(self, tmp_path, capsys):
         from repro.toolchain import PersistentStageCache
@@ -394,10 +409,10 @@ class TestCacheIntegration:
         assert cli_main(["cache", "--cache-dir", cache_dir, "verify"]) == 0
         capsys.readouterr()
 
-        path = cache.image_path(key)
-        raw = bytearray(open(path, "rb").read())
+        path = Path(cache.image_path(key))
+        raw = bytearray(path.read_bytes())
         raw[-1] ^= 0xFF
-        open(path, "wb").write(bytes(raw))
+        path.write_bytes(bytes(raw))
         assert cli_main(["cache", "--cache-dir", cache_dir, "verify"]) == 1
         err = capsys.readouterr().err
         assert "image" in err
