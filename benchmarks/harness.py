@@ -65,6 +65,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Any, Callable, Sequence
 
 BENCH_SCHEMA = 7
@@ -334,17 +335,15 @@ def _synthetic_ir(nodes: int):
     kinds = ("node", "cpu", "core", "cache", "memory", "device")
     out = [IRNode(0, "system", None, {"id": "root"})]
     for i in range(1, nodes):
-        parent = (i - 1) // 8  # fanout 8 keeps depth logarithmic
-        out[parent].children.append(i)
         out.append(
             IRNode(
                 i,
                 kinds[i % len(kinds)],
-                parent,
+                (i - 1) // 8,  # fanout 8 keeps depth logarithmic
                 {"id": f"e{i}", "name": f"n{i % 97}"},
             )
         )
-    return IRModel(out, {"system": f"synthetic-{nodes}"})
+    return IRModel.from_nodes(out, {"system": f"synthetic-{nodes}"})
 
 
 def run_cold_init_bench(report: dict[str, Any], args: RunArgs) -> dict[str, Any]:
@@ -352,8 +351,8 @@ def run_cold_init_bench(report: dict[str, Any], args: RunArgs) -> dict[str, Any]
 
     Serializes the composed :data:`QUERY_BENCH_SYSTEM` two ways — v2
     image with index sections, and core-only (the same records without
-    them, so its open pays the index build a warm open skips: the
-    from-scratch reference) — and times a full :func:`repro.runtime.query.xpdl_init` open of
+    them, so its open pays the index-section rebuild a warm open skips:
+    the from-scratch reference) — and times a full :func:`repro.runtime.query.xpdl_init` open of
     each (best of 5), plus an mmap-free ``from_bytes`` open of the
     indexed image to isolate the mmap win.  Counters from the mmap open document that a warm reopen
     does *zero* index construction (``rebuilds`` must be 0).  A scaling
@@ -379,8 +378,9 @@ def run_cold_init_bench(report: dict[str, Any], args: RunArgs) -> dict[str, Any]
         }
         with open(paths["image_mmap"], "wb") as fh:
             fh.write(ir.to_bytes())
+        records = ((n.kind, n.parent, n.attrs) for n in ir.nodes)
         with open(paths["core_only"], "wb") as fh:
-            fh.write(build_image(ir, with_index=False))
+            fh.write(build_image(records, ir.meta, with_index=False))
 
         opens: dict[str, float] = {}
         with warnings.catch_warnings():
@@ -390,7 +390,7 @@ def run_cold_init_bench(report: dict[str, Any], args: RunArgs) -> dict[str, Any]
             for name, path in paths.items():
                 opens[name] = _min_time(lambda p=path: xpdl_init(p))
         # from_bytes on pre-read bytes: the image without the mmap.
-        data = open(paths["image_mmap"], "rb").read()
+        data = Path(paths["image_mmap"]).read_bytes()
         opens["image_read"] = _min_time(
             lambda: xpdl_init_from_model(IRModel.from_bytes(data))
         )

@@ -288,6 +288,7 @@ class RepositoryView:
     def __init__(self, repository) -> None:
         self.repository = repository
         self._loaded: dict[str, ModelElement] | None = None
+        self._load_errors: dict[str, tuple[str, str, SourceSpan]] = {}
         self._reachable: set[str] | None = None
         self._power_domain_names: set[str] | None = None
 
@@ -296,22 +297,38 @@ class RepositoryView:
         return self.repository.index()
 
     def models(self) -> dict[str, ModelElement]:
-        """Every parseable descriptor, by identifier.
+        """Every descriptor whose load does not raise, by identifier.
 
-        Parse/schema diagnostics are deliberately routed to a throwaway
-        sink: reporting them is the ``validate`` stage's job, not the
-        doctor's.
+        Load diagnostics are routed to a throwaway sink: reporting each
+        of them is the ``validate`` stage's job, not the doctor's.  The
+        first error of every descriptor whose load raised or emitted
+        one is kept for :meth:`load_errors`.
         """
         if self._loaded is None:
             scratch = DiagnosticSink(max_errors=100_000)
             loaded: dict[str, ModelElement] = {}
             for ident in sorted(self.index):
                 try:
-                    loaded[ident] = self.repository.load(ident, scratch).model
-                except XpdlError:
-                    continue  # unparseable; validate reports it
+                    lm = self.repository.load(ident, scratch)
+                except XpdlError as exc:
+                    errors = [d for d in exc.diagnostics if d.is_error()]
+                    self._load_errors[ident] = (
+                        (errors[0].code, errors[0].message, errors[0].span)
+                        if errors
+                        else (type(exc).__name__, str(exc), SourceSpan.unknown(ident))
+                    )
+                    continue
+                if lm.errors:
+                    first = lm.errors[0]
+                    self._load_errors[ident] = (first.code, first.message, first.span)
+                loaded[ident] = lm.model
             self._loaded = loaded
         return self._loaded
+
+    def load_errors(self) -> dict[str, tuple[str, str, SourceSpan]]:
+        """``(code, message, span)`` of the first load error, by identifier."""
+        self.models()
+        return self._load_errors
 
     def reachable(self) -> set[str]:
         """Identifiers reachable from any ``<system>`` closure."""
@@ -630,6 +647,24 @@ def _check_unit_consistency(ctx: RuleContext) -> None:
                     )
 
 
+@rule(
+    "XPDL0705",
+    "unloadable-descriptor",
+    severity=Severity.ERROR,
+    scope="repository",
+    summary="every descriptor must load without errors (the other rules "
+    "cannot read one that does not)",
+)
+def _check_unloadable_descriptors(ctx: RuleContext) -> None:
+    for ident, (code, message, span) in sorted(ctx.repo.load_errors().items()):
+        ctx.report(
+            f"descriptor {ident!r} does not load: {message} ({code})",
+            subject=ident,
+            span=span,
+            hint=f"`xpdl validate {ident}` lists every problem",
+        )
+
+
 # ---------------------------------------------------------------------------
 # system-scope rules
 # ---------------------------------------------------------------------------
@@ -857,6 +892,7 @@ def _check_bandwidth_consistency(ctx: RuleContext) -> None:
         if declared is None:
             continue  # nothing hand-written; analyze derives it
         subject = ctx.identifier or ic.label()
+        derived = derived_of.get(id(ic))
         if nominal is not None and declared > nominal:
             ctx.report(
                 f"interconnect {ic.label()}: declared effective_bandwidth "
@@ -864,9 +900,7 @@ def _check_bandwidth_consistency(ctx: RuleContext) -> None:
                 subject=subject,
                 span=ic.span,
             )
-            continue
-        derived = derived_of.get(id(ic))
-        if derived is not None and not declared.close_to(derived, rel=1e-6):
+        elif derived is not None and not declared.close_to(derived, rel=1e-6):
             ctx.report(
                 f"interconnect {ic.label()}: declared effective_bandwidth "
                 f"{declared} contradicts the downgrading analysis "

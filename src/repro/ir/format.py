@@ -11,18 +11,20 @@ understood:
 
 * **binary** (magic ``XPDLRT02``, :mod:`repro.ir.image`): crc-checked,
   offset-addressed sections carrying the records *and* the compiled
-  :class:`~repro.runtime.index.IRIndex` artifacts.  :meth:`IRModel.load`
-  mmaps it and views every table in place; nodes, strings and analyses
-  materialize lazily on first touch, so opening a model costs O(file
-  open), not O(model).  Files of the retired record-only format (magic
-  ``XPDLRT01``) are refused with a :class:`~repro.diagnostics.QueryError`
-  that says to rebuild them.
+  index.  Every :class:`IRModel` is opened over one such image —
+  :meth:`IRModel.from_model`, :meth:`IRModel.from_json` and
+  :meth:`IRModel.from_nodes` serialize first — and :meth:`IRModel.load`
+  mmaps a file and views every table in place; nodes, strings and
+  analyses materialize lazily on first touch, so opening a model costs
+  O(file open), not O(model).  Files of the retired record-only format
+  (magic ``XPDLRT01``) are refused with a
+  :class:`~repro.diagnostics.QueryError` that says to rebuild them.
 * **JSON** (debugging, interchange).
 
-Both formats round-trip exactly.  A v2 image whose *index* sections fail
-their checksums degrades to a live index rebuild with a loud
-:class:`~repro.ir.image.XirImageWarning` — corruption is never answered
-with wrong query results; core-section damage raises
+Both formats round-trip exactly.  A v2 image whose *index* sections are
+missing or fail their checksums has them rebuilt from its core sections
+with a loud :class:`~repro.ir.image.XirImageWarning` — corruption is
+never answered with wrong query results; core-section damage raises
 :class:`~repro.diagnostics.QueryError`.
 """
 
@@ -30,17 +32,17 @@ from __future__ import annotations
 
 import json
 import mmap
-import warnings
 from dataclasses import dataclass, field
+from itertools import repeat
+from typing import Iterable
 
 from ..diagnostics import QueryError
 from ..model import ELEMENT_REGISTRY, ModelElement
 from ..obs import get_observer
-from .image import IRImage, XirImageWarning, build_image
+from .image import _NO_PARENT, MAGIC_V2, IRImage, build_image, open_image
 
-MAGIC = b"XPDLRT02"
+MAGIC = MAGIC_V2
 MAGIC_V1 = b"XPDLRT01"
-_NO_PARENT = 0xFFFFFFFF
 
 #: JSON documents are accepted under either format tag — the JSON node
 #: schema never changed across the binary version bump.
@@ -71,9 +73,10 @@ class IRNode:
 class _LazyNodes:
     """Node sequence over a mapped :class:`~repro.ir.image.IRImage`.
 
-    Behaves like the eager ``list[IRNode]`` (len/index/slice/iterate) but
-    builds each :class:`IRNode` from the record sections on first touch
-    and interns it — untouched models stay as mapped pages."""
+    Behaves like a ``list[IRNode]`` for length, integer indexing and
+    iteration, but builds each :class:`IRNode` from the record sections
+    on first touch and interns it — untouched models stay as mapped
+    pages."""
 
     __slots__ = ("_image", "_memo")
 
@@ -88,13 +91,11 @@ class _LazyNodes:
         for i in range(len(self._memo)):
             yield self[i]
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self._memo)))]
-        if i < 0:
-            i += len(self._memo)
+    def __getitem__(self, i: int) -> IRNode:
         node = self._memo[i]
         if node is None:
+            if i < 0:
+                i += len(self._memo)
             node = self._memo[i] = self._materialize(i)
         return node
 
@@ -117,42 +118,52 @@ class _LazyNodes:
 
 
 class IRModel:
-    """The flattened runtime model (eager node list or mapped image)."""
+    """The flattened runtime model, opened over its ``XPDLRT02`` image."""
 
-    def __init__(self, nodes, meta: dict[str, str] | None = None):
-        self.nodes = nodes
-        self.meta = dict(meta or {})
-        self._by_id: dict[str, int] | None = None
-        self._index = None  # lazily built IRIndex (the IR is read-only)
-        self._image: IRImage | None = None
-        # Set when this model came from a persisted image *without* a
-        # usable index (core-only or degraded): the live IRIndex
-        # build then counts as an ``index.rebuilds`` — the startup tax
-        # the image format exists to avoid.
-        self._load_origin: str | None = None
+    def __init__(self, image: IRImage) -> None:
+        self._image = image
+        self.nodes = _LazyNodes(image)
+        self.meta = image.meta
+        self._index = None  # lazily adopted IRIndex (the IR is read-only)
 
     # -- construction -------------------------------------------------------
     @staticmethod
     def from_model(
         root: ModelElement, meta: dict[str, str] | None = None
     ) -> "IRModel":
-        nodes: list[IRNode] = []
-
-        def rec(elem: ModelElement, parent: int | None) -> int:
-            idx = len(nodes)
-            node = IRNode(idx, elem.kind, parent, dict(elem.attrs))
-            nodes.append(node)
-            for child in elem.children:
-                cidx = rec(child, idx)
-                node.children.append(cidx)
-            return idx
-
-        rec(root, None)
+        """Flatten a model tree in pre-order, serialize it and open the
+        image."""
+        records: list[tuple[str, int | None, dict[str, str]]] = []
+        stack: list[tuple[ModelElement, int | None]] = [(root, None)]
+        while stack:
+            elem, parent = stack.pop()
+            if elem.children:
+                stack += zip(reversed(elem.children), repeat(len(records)))
+            records.append((elem.kind, parent, elem.attrs))
         obs = get_observer()
         if obs.enabled:
             obs.count("ir.emits")
-            obs.count("ir.nodes", len(nodes))
-        return IRModel(nodes, meta)
+            obs.count("ir.nodes", len(records))
+        return IRModel._from_records(records, meta)
+
+    @staticmethod
+    def from_nodes(
+        nodes: Iterable[IRNode], meta: dict[str, str] | None = None
+    ) -> "IRModel":
+        """Serialize ``nodes`` (in node-index order; each node's children
+        are the nodes naming it as parent, in node order) and open the
+        image."""
+        return IRModel._from_records(
+            ((n.kind, n.parent, n.attrs) for n in nodes), meta
+        )
+
+    @staticmethod
+    def _from_records(records, meta: dict[str, str] | None) -> "IRModel":
+        """Serialize ``(kind, parent, attrs)`` records and open the image;
+        only this serialization counts ``ir.bytes``."""
+        blob = build_image(records, meta or {})
+        get_observer().count("ir.bytes", len(blob))
+        return IRModel(IRImage(blob))
 
     def to_model(self) -> ModelElement:
         """Rebuild a model object tree (for tooling; the runtime query API
@@ -185,52 +196,13 @@ class IRModel:
         return self.nodes[node.parent] if node.parent is not None else None
 
     def by_id(self, ident: str) -> IRNode | None:
-        image = self._image
-        if image is not None and image.index_ok:
-            # Serve single lookups straight from the mapped IDTB section
-            # (the image memoizes each id) — no full table.
-            idx = image.id_index(ident)
-        else:
-            idx = self._id_table().get(ident)
+        """The first node with id ``ident``, from the image's ``IDTB``."""
+        idx = self._image.id_index(ident)
         return self.nodes[idx] if idx is not None else None
 
-    def _id_table(self) -> dict[str, int]:
-        """The id → node-index table (first occurrence wins).
-
-        Duplicate ids are resolved first-wins, but *loudly*: every
-        shadowed occurrence bumps the ``ir.id_shadowed`` counter and
-        leaves a mark naming the id and both nodes, so silent aliasing in
-        composed models is visible in ``xpdl stats`` / traces.  The
-        image writer builds its ``IDTB`` section from this table, so a
-        model is counted once, when it is serialized, or on its first
-        lookup if it never is.
-        """
-        if self._by_id is None:
-            table: dict[str, int] = {}
-            obs = get_observer()
-            for n in self.nodes:
-                nid = n.attrs.get("id")
-                if nid is None:
-                    continue
-                kept = table.setdefault(nid, n.index)
-                if kept != n.index:
-                    obs.count("ir.id_shadowed")
-                    if obs.enabled:
-                        obs.mark(
-                            "ir.id_shadowed",
-                            id=nid,
-                            kept_index=kept,
-                            kept_kind=self.nodes[kept].kind,
-                            shadowed_index=n.index,
-                            shadowed_kind=n.kind,
-                        )
-            self._by_id = table
-        return self._by_id
-
     def index(self):
-        """The compiled query index (built once; the IR never mutates, so
-        it is never invalidated).  Image-backed models serve the index
-        straight from the mapped sections — zero construction."""
+        """The compiled query index, adopted from the image's index
+        sections — zero construction, once per model."""
         if self._index is None:
             from ..runtime.index import IRIndex  # late: avoids an import cycle
 
@@ -243,26 +215,13 @@ class IRModel:
         Used by the model service's LRU byte accounting: exactness does
         not matter (eviction compares models against each other and a
         budget), but the estimate must be monotone in model size and
-        cheap.  Image-backed models are dominated by the mapped file
-        plus whatever lazily materialized; ~3x the file size bounds a
-        fully-touched model without walking it.  For eager models the
-        constants approximate CPython object headers for an
-        :class:`IRNode` (+ its interned handle and index rows): ~200
-        bytes of fixed overhead per node plus ~100 per attribute pair
-        plus the string payloads themselves.  The service charges its
-        memo of encoded node texts on top of this, a fixed allowance per
-        node (``repro.service.core.NODE_TEXT_BYTES``).
+        cheap.  A model is dominated by its image plus whatever lazily
+        materialized; ~3x the image size bounds a fully-touched model
+        without walking it.  The service charges its memo of encoded
+        node texts on top of this, a fixed allowance per node
+        (``repro.service.core.NODE_TEXT_BYTES``).
         """
-        if self._image is not None:
-            return 4096 + 3 * self._image.nbytes
-        total = 4096  # model object + tables overhead
-        for node in self.nodes:
-            total += 200 + 8 * len(node.children) + len(node.kind)
-            for k, v in node.attrs.items():
-                total += 100 + len(k) + len(v)
-        for k, v in self.meta.items():
-            total += 100 + len(k) + len(v)
-        return total
+        return 4096 + 3 * self._image.nbytes
 
     def walk(self, start: IRNode | None = None):
         """Pre-order traversal from ``start`` (default: root)."""
@@ -284,16 +243,9 @@ class IRModel:
 
     # -- binary encoding -----------------------------------------------------------
     def to_bytes(self) -> bytes:
-        """Serialize as a v2 image (records + index sections).
-
-        Deterministic for a given model.  A model opened from an intact
-        image returns the identical bytes without touching a single lazy
-        structure; only a real serialization counts ``ir.bytes``."""
-        if self._image is not None and self._image.index_ok:
-            return bytes(self._image.buffer)
-        blob = build_image(self)
-        get_observer().count("ir.bytes", len(blob))
-        return blob
+        """The model's v2 image (records + index sections): deterministic
+        for a given model, and read without touching a lazy structure."""
+        return bytes(self._image.buffer)
 
     @staticmethod
     def from_bytes(data) -> "IRModel":
@@ -302,35 +254,13 @@ class IRModel:
         ``data`` may be bytes or any buffer (an ``mmap`` in particular);
         the model keeps views into it, so the buffer must outlive the
         model — which reference counting guarantees."""
-        head = bytes(memoryview(data)[:8])
-        if head == MAGIC:
-            return IRModel._from_image(data)
-        if head == MAGIC_V1:
+        if bytes(memoryview(data)[:8]) == MAGIC_V1:
             raise QueryError(
                 "XPDL runtime model file uses the retired XPDLRT01 format; "
                 "rebuild it with the toolchain (e.g. `xpdl compose`)"
             )
-        raise QueryError("not an XPDL runtime model file (bad magic)")
-
-    @staticmethod
-    def _from_image(data) -> "IRModel":
-        image = IRImage(data)  # raises QueryError on core damage
-        model = IRModel(_LazyNodes(image), image.meta)
-        model._image = image
-        obs = get_observer()
-        if not image.index_ok:
-            model._load_origin = f"degraded image ({image.index_problem})"
-            warnings.warn(
-                "XPDL v2 runtime image has unusable index sections "
-                f"({image.index_problem}); rebuilding the index live — "
-                "re-run the toolchain (or `xpdl cache clear`) to restore "
-                "zero-copy startup",
-                XirImageWarning,
-                stacklevel=3,
-            )
-            if obs.enabled:
-                obs.mark("index.degraded", problem=image.index_problem)
-        obs.count("ir.loads")
+        model = IRModel(open_image(data))  # raises QueryError on core damage
+        get_observer().count("ir.loads")
         return model
 
     # -- JSON encoding -----------------------------------------------------------------
@@ -356,14 +286,10 @@ class IRModel:
         data = json.loads(text)
         if data.get("format") not in _JSON_FORMATS:
             raise QueryError("not an XPDL runtime model JSON document")
-        nodes = [
-            IRNode(i, d["kind"], d["parent"], dict(d["attrs"]))
-            for i, d in enumerate(data["nodes"])
-        ]
-        for node in nodes:
-            if node.parent is not None:
-                nodes[node.parent].children.append(node.index)
-        return IRModel(nodes, dict(data.get("meta", {})))
+        return IRModel._from_records(
+            [(d["kind"], d["parent"], d["attrs"]) for d in data["nodes"]],
+            data.get("meta"),
+        )
 
     # -- files --------------------------------------------------------------------------
     def save(self, path: str) -> None:

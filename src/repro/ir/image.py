@@ -1,14 +1,13 @@
 """The ``XPDLRT02`` zero-copy runtime image: IR records *plus* index.
 
-PR 5 made hot-path queries cheap by compiling an
-:class:`~repro.runtime.index.IRIndex` at ``xpdl_init`` — but the build
-itself is O(model), paid again by every process that opens the same
-file.  This module removes that startup tax: the index artifacts (pre-
-order numbering, subtree sizes, kind buckets, attribute node-set
-indexes, id and sorted-string tables) are serialized *next to* the
-record region as aligned, offset-addressed sections, so a reader can
+Every runtime model is opened over one of these images.  Its index
+artifacts (pre-order numbering, subtree sizes, kind buckets, attribute
+node-set indexes, id and sorted-string tables) are serialized *next to*
+the record region as aligned, offset-addressed sections, so a reader can
 ``mmap`` the file and view every table in place as u32 arrays — no
-parsing, no allocation proportional to model size.
+parsing, no allocation proportional to model size.  This module is the
+only one that knows the layout: :func:`build_image` writes it, and
+:func:`open_image` reads it.
 
 File layout (all integers little-endian u32 unless noted)::
 
@@ -31,8 +30,10 @@ model itself and are validated strictly — any defect raises
     ``ATTR``  (name strid, value strid) u32 pairs, grouped per node
     ``CHLD``  u32 child offset[n+1], child node indexes
 
-**Index** sections are derived acceleration structures; a checksum or
-shape defect there degrades the open to a live index rebuild (with a
+**Index** sections are derived from the core records alone, by one
+function (:func:`_index_sections`) that both the writer and the reader
+call.  A missing section, or a checksum or shape defect there, makes
+the open rebuild them from the core sections (with a
 :class:`XirImageWarning` and the ``index.rebuilds`` counter) — never a
 wrong answer:
 
@@ -48,6 +49,8 @@ wrong answer:
               sorted by (name, value) strid, then node indexes
     ``IDTB``  u32 nids, (id strid, node index) sorted by id strid
 
+Nodes unreachable from the root (node 0) have no document position and
+are in no kind bucket or attribute run; the id table holds every node.
 Every per-section crc32 is verified at open (C speed, one pass over the
 file), so a bit flip is caught before any structure is trusted.
 """
@@ -57,14 +60,22 @@ from __future__ import annotations
 import array
 import struct
 import sys
+import warnings
 import zlib
+from bisect import bisect_left
+from collections import Counter, defaultdict
+from itertools import accumulate, chain, groupby, repeat
+from operator import itemgetter, sub
 from typing import Any
 
 from ..diagnostics import QueryError
+from ..obs import get_observer
 
 MAGIC_V2 = b"XPDLRT02"
 
+#: The root's parent in ``RECS``.
 _NO_PARENT = 0xFFFFFFFF
+#: The ``PREO`` position of a node unreachable from the root.
 _UNREACHABLE = 0xFFFFFFFF
 _HEADER_LEN = 24
 _TABLE_ENTRY = struct.Struct("<IIII")
@@ -91,8 +102,9 @@ class XirImageWarning(UserWarning):
     """A v2 runtime image was opened but its index sections were unusable.
 
     The model still loads (core sections are intact) and every query
-    stays correct — the index is just rebuilt live, costing the O(model)
-    startup the image was supposed to avoid.  Loud by design."""
+    stays correct — the index sections are rebuilt from the core
+    sections, costing the O(model) startup the image was supposed to
+    avoid.  Loud by design."""
 
 
 def _tag_u32(tag: str) -> int:
@@ -165,8 +177,8 @@ class IRImage:
     (:class:`~repro.ir.IRModel` lazy nodes,
     :class:`~repro.runtime.index.IRIndex`) index into these views
     directly.  ``index_ok`` is False when any index section failed
-    verification — the core model is still usable, the index must be
-    rebuilt live.
+    verification — the core model is intact, and :func:`open_image`
+    rebuilds the index sections from it.
     """
 
     __slots__ = (
@@ -188,6 +200,7 @@ class IRImage:
         "size",
         "doc",
         "buckets",
+        "_core",
         "_ahas_hdr",
         "_ahas_data",
         "_aeqv",
@@ -197,7 +210,7 @@ class IRImage:
     )
 
     # The u32 table views are memoryviews on LE hosts, array.array on BE
-    # (byteswapped copies), and None while the index is degraded — typed
+    # (byteswapped copies), and None while the index is unusable — typed
     # as Any so both backends satisfy one declaration.
     ssrt: Any
     pre: Any
@@ -222,6 +235,7 @@ class IRImage:
                 )
             return sec
 
+        self._core = [core(tag) for tag in CORE_SECTIONS]
         self.meta = self._parse_meta(core("META"))
         self.pool = self._parse_pool(core("SPOL"))
         self._parse_records(core("RECS"), core("ATTR"), core("CHLD"))
@@ -239,7 +253,8 @@ class IRImage:
         try:
             self._parse_index(raw, bad)
         except _IndexDefect as defect:
-            self._degrade(str(defect))
+            self.index_ok = False
+            self.index_problem = str(defect)
 
     # -- parsing -----------------------------------------------------------
     @staticmethod
@@ -250,38 +265,19 @@ class IRImage:
 
         Header/table defects raise; per-section defects are recorded in
         the second mapping so callers can decide (strict for core,
-        degrade for index sections).
+        rebuild for index sections).
         """
-        if len(mv) < _HEADER_LEN:
-            raise QueryError("truncated XPDL runtime model file")
-        if bytes(mv[:8]) != MAGIC_V2:
-            raise QueryError("not an XPDL runtime model file (bad magic)")
-        total, count, table_crc, _reserved = struct.unpack_from("<IIII", mv, 8)
+        rows = read_section_table(mv)
+        (total,) = struct.unpack_from("<I", mv, 8)
         if total != len(mv):
             raise QueryError(
                 "truncated XPDL v2 runtime image: file is "
                 f"{len(mv)} bytes, header claims {total}"
             )
-        if count > _MAX_SECTIONS:
-            raise QueryError(
-                "corrupt XPDL v2 runtime image: implausible section count"
-            )
-        table_end = _HEADER_LEN + _TABLE_ENTRY.size * count
-        if table_end > len(mv):
-            raise QueryError("truncated XPDL v2 runtime image (section table)")
-        table = mv[_HEADER_LEN:table_end]
-        if _crc(table) != table_crc:
-            raise QueryError(
-                "corrupt XPDL v2 runtime image: section table checksum "
-                "mismatch"
-            )
+        table_end = _HEADER_LEN + _TABLE_ENTRY.size * len(rows)
         raw: dict[str, memoryview] = {}
         bad: dict[str, str] = {}
-        for k in range(count):
-            tag_u32, off, length, crc = _TABLE_ENTRY.unpack_from(
-                table, _TABLE_ENTRY.size * k
-            )
-            tag = _tag_str(tag_u32)
+        for tag, off, length, crc in rows:
             if off % _ALIGN or off + length > len(mv) or off < table_end:
                 bad[tag] = "out of bounds"
                 continue
@@ -457,16 +453,6 @@ class IRImage:
         self._aeqv = aeqv
         self._idtb = idtb
 
-    def _degrade(self, problem: str) -> None:
-        self.index_ok = False
-        self.index_problem = problem
-        self.ssrt = self.pre = self.size = self.doc = None
-        self.buckets = {}
-        self._ahas_hdr = {}
-        self._ahas_data = None
-        self._aeqv = None
-        self._idtb = None
-
     # -- index lookups ------------------------------------------------------
     def find_str(self, s: str) -> int | None:
         """The pool strid of ``s``, via byte-wise bisection over SSRT."""
@@ -546,143 +532,247 @@ class IRImage:
 
 
 class _IndexDefect(Exception):
-    """Internal: an index section failed verification (degrade, don't die)."""
+    """Internal: an index section failed verification (rebuild, don't die)."""
+
+
+def open_image(data) -> IRImage:
+    """Open a v2 image whose index sections are usable.
+
+    Core damage raises :class:`~repro.diagnostics.QueryError`.  When the
+    index sections are missing (a core-only image) or fail verification,
+    the core sections are copied verbatim, fresh index sections are
+    appended and the result is opened instead — loudly: an
+    :class:`XirImageWarning`, the ``index.rebuilds`` counter and an
+    ``index.rebuild`` mark.  The rebuilt bytes equal what the writer
+    produces for the same model.
+    """
+    image = IRImage(data)
+    if image.index_ok:
+        return image
+    problem = image.index_problem
+    warnings.warn(
+        "XPDL v2 runtime image has unusable index sections "
+        f"({problem}); rebuilding them from the core sections — "
+        "re-run the toolchain (or `xpdl cache clear`) to restore "
+        "zero-copy startup",
+        XirImageWarning,
+        stacklevel=3,
+    )
+    obs = get_observer()
+    obs.count("index.rebuilds")
+    if obs.enabled:
+        obs.mark("index.rebuild", origin=f"degraded image ({problem})")
+    offsets = image.pool._offsets.tolist()
+    blob = bytes(image.pool._blob)
+    try:
+        index = _index_sections(
+            image.kind_ids.tolist(),
+            image.parents.tolist(),
+            image.attr_off.tolist(),
+            image.attr_pairs.tolist(),
+            image.child_off.tolist(),
+            image.child_idx.tolist(),
+            [blob[a:b] for a, b in zip(offsets, offsets[1:])],
+        )
+    except IndexError:  # crc-valid records that index out of range
+        raise QueryError(_NOT_A_TREE) from None
+    return IRImage(_assemble([*zip(CORE_SECTIONS, image._core), *index]))
 
 
 # ---------------------------------------------------------------------------
 # writer
 # ---------------------------------------------------------------------------
 
+_NOT_A_TREE = "corrupt XPDL runtime model: its nodes do not form a tree"
 
-def build_image(ir, *, with_index: bool = True) -> bytes:
-    """Serialize ``ir`` as a v2 image (records + index sections).
 
+class _Pool(dict):
+    """String -> strid, interning each string at its first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, s: str) -> int:
+        sid = self[s] = len(self)
+        return sid
+
+
+def build_image(records, meta: dict[str, str], *, with_index: bool = True) -> bytes:
+    """Serialize a model as a v2 image.
+
+    ``records`` are ``(kind, parent, attrs)`` triples in node-index
+    order, ``parent`` being a node index or ``None`` for the root; each
+    node's children are the nodes naming it as parent, in node order.
     Deterministic: the same model always produces identical bytes
-    (interning follows document order, index runs are sorted), so images
+    (interning follows node order, index runs are sorted), so images
     are safely content-addressed.  ``with_index=False`` writes only the
-    core sections — the bench harness uses it to measure what the
-    persisted index is worth.
+    core sections, which readers must accept — the bench harness uses
+    it to measure what the persisted index is worth.
     """
-    nodes = ir.nodes
-    n = len(nodes)
-    pool: dict[str, int] = {}
-    pool_list: list[str] = []
-
-    def intern(s: str) -> int:
-        idx = pool.get(s)
-        if idx is None:
-            idx = pool[s] = len(pool_list)
-            pool_list.append(s)
-        return idx
-
+    pool = _Pool()
+    intern = pool.__getitem__
     kind_ids: list[int] = []
     parents: list[int] = []
-    attr_off: list[int] = [0]
     pairs: list[int] = []
-    child_off: list[int] = [0]
-    child_idx: list[int] = []
-    for node in nodes:
-        kind_ids.append(intern(node.kind))
-        parents.append(_NO_PARENT if node.parent is None else node.parent)
-        for k, v in node.attrs.items():
-            pairs.append(intern(k))
-            pairs.append(intern(v))
-        attr_off.append(len(pairs) // 2)
-        child_idx.extend(node.children)
-        child_off.append(len(child_idx))
+    attr_off = [0]
+    for kind, parent, attrs in records:
+        kind_ids.append(intern(kind))
+        parents.append(_NO_PARENT if parent is None else parent)
+        pairs += map(intern, chain.from_iterable(attrs.items()))
+        attr_off.append(len(pairs) >> 1)
+    n = len(kind_ids)
+    # Children grouped by parent in node order (a stable sort); the
+    # roots' _NO_PARENT sorts last.
+    per_parent = Counter(parents)
+    child_off = list(accumulate(map(per_parent.get, range(n), repeat(0)), initial=0))
+    if child_off[n] + per_parent[_NO_PARENT] != n:
+        raise QueryError("IR node parent index out of range")
+    child_idx = sorted(range(n), key=parents.__getitem__)[: child_off[n]]
 
-    meta_parts = [struct.pack("<I", len(ir.meta))]
-    for k, v in ir.meta.items():
+    meta_parts = [struct.pack("<I", len(meta))]
+    for k, v in meta.items():
         kb, vb = k.encode("utf-8"), v.encode("utf-8")
-        meta_parts.append(struct.pack("<II", len(kb), len(vb)))
-        meta_parts.append(kb)
-        meta_parts.append(vb)
-
-    blobs = [s.encode("utf-8") for s in pool_list]
-    offsets = [0]
-    for b in blobs:
-        offsets.append(offsets[-1] + len(b))
-    spol = b"".join(
-        [struct.pack("<I", len(blobs)), _u32_bytes(offsets)] + blobs
-    )
-
+        meta_parts += (struct.pack("<II", len(kb), len(vb)), kb, vb)
+    strings = [s.encode("utf-8") for s in pool]
+    offsets = accumulate(map(len, strings), initial=0)
     sections: list[tuple[str, bytes]] = [
         ("META", b"".join(meta_parts)),
-        ("SPOL", spol),
-        ("RECS", _u32_bytes([n] + kind_ids + parents + attr_off)),
+        ("SPOL", b"".join([struct.pack("<I", len(strings)), _u32_bytes(offsets), *strings])),
+        ("RECS", _u32_bytes([n, *kind_ids, *parents, *attr_off])),
         ("ATTR", _u32_bytes(pairs)),
         ("CHLD", _u32_bytes(child_off + child_idx)),
     ]
     if with_index:
-        sections.extend(
-            _index_sections(ir, pool, pool_list, blobs, kind_ids)
+        sections += _index_sections(
+            kind_ids, parents, attr_off, pairs, child_off, child_idx, strings
         )
     return _assemble(sections)
 
 
-def _index_sections(ir, pool, pool_list, blobs, kind_ids):
-    """The derived-index sections, computed from a freshly built (or
-    reused eager) :class:`~repro.runtime.index.IRIndex`."""
-    from ..runtime.index import IRIndex  # late: avoids an import cycle
+def _index_sections(
+    kind_ids: list[int],
+    parents: list[int],
+    attr_off: list[int],
+    pairs: list[int],
+    child_off: list[int],
+    child_idx: list[int],
+    strings: list[bytes],
+) -> list[tuple[str, bytes]]:
+    """The eight index sections, derived from the core records alone.
 
-    index = getattr(ir, "_index", None)
-    if index is None or getattr(index, "_image", None) is not None:
-        index = IRIndex(ir, use_image=False)
+    The inputs are the ``RECS``, ``ATTR`` and ``CHLD`` arrays as int
+    lists and the UTF-8 bytes of each pool string.  Counts one
+    ``runtime.index_builds`` and every shadowed id (``ir.id_shadowed``,
+    with a mark naming the id and both nodes): ids resolve first-wins,
+    but loudly.
+    """
+    n = len(kind_ids)
+    obs = get_observer()
+    obs.count("runtime.index_builds")
+    obs.count("runtime.index_nodes", n)
 
-    ssrt = sorted(range(len(pool_list)), key=blobs.__getitem__)
-    pre = [_UNREACHABLE if p < 0 else p for p in index.pre]
+    # Pre-order over the child lists from the root (node 0); subtree
+    # sizes accumulate child-before-parent in reverse document order.
+    pre = [_UNREACHABLE] * n
+    doc: list[int] = []
+    stack = [0] if n else []
+    while stack:
+        i = stack.pop()
+        if pre[i] != _UNREACHABLE:
+            raise QueryError(_NOT_A_TREE)
+        pre[i] = len(doc)
+        doc.append(i)
+        lo, hi = child_off[i], child_off[i + 1]
+        if lo < hi:
+            stack += reversed(child_idx[lo:hi])
+    size = [1] * n
+    for i in reversed(doc):
+        p = parents[i]
+        if p != _NO_PARENT:
+            size[p] += size[i]
 
-    kndb = [len(index._buckets)]
-    positions: list[int] = []
-    indexes: list[int] = []
-    for kind in sorted(index._buckets, key=pool.__getitem__):
-        pos, idx = index._buckets[kind]
-        kndb.extend((pool[kind], len(positions), len(pos)))
-        positions.extend(pos)
-        indexes.extend(idx)
-    kndb.extend(positions)
-    kndb.extend(indexes)
+    # Kind buckets: doc positions grouped by kind id (a stable sort keeps
+    # each bucket in document order), then the same nodes by index.
+    doc_kinds = list(map(kind_ids.__getitem__, doc))
+    positions = sorted(range(len(doc)), key=doc_kinds.__getitem__)
+    kndb = [0]
+    start = 0
+    for kind, count in sorted(Counter(doc_kinds).items()):
+        kndb += (kind, start, count)
+        start += count
+    kndb[0] = (len(kndb) - 1) // 3
+    kndb += positions
+    kndb += map(doc.__getitem__, positions)
 
-    ahas = [len(index._attr_has)]
+    # The nodes holding each (name, value) pair, ascending: pairs are
+    # stored node by node.  Only nodes reachable from the root are in
+    # the attribute runs; the id table holds every node.
+    owners = chain.from_iterable(
+        map(repeat, range(n), map(sub, attr_off[1:], attr_off))
+    )
+    groups: defaultdict[tuple[int, int], list[int]] = defaultdict(list)
+    for key, node in zip(zip(pairs[0::2], pairs[1::2]), owners):
+        groups[key].append(node)
+    keys = sorted(groups)
+    idtb = _id_table(keys, groups, kind_ids, strings, obs)
+    if len(doc) < n:
+        for key in keys:
+            groups[key] = [i for i in groups[key] if pre[i] != _UNREACHABLE]
+        keys = [key for key in keys if groups[key]]
+    ahas: list[int] = [0]
     ahas_data: list[int] = []
-    for name in sorted(index._attr_has, key=pool.__getitem__):
-        members = sorted(index._attr_has[name])
-        ahas.extend((pool[name], len(ahas_data), len(members)))
-        ahas_data.extend(members)
-    ahas.extend(ahas_data)
-
-    aeqv = [len(index._attr_eq)]
+    aeqv = [len(keys)]
     aeqv_data: list[int] = []
-    for name, value in sorted(
-        index._attr_eq, key=lambda kv: (pool[kv[0]], pool[kv[1]])
-    ):
-        members = sorted(index._attr_eq[(name, value)])
-        aeqv.extend((pool[name], pool[value], len(aeqv_data), len(members)))
-        aeqv_data.extend(members)
-    aeqv.extend(aeqv_data)
-
-    # The model's own id table: first wins, and shadowed ids are counted.
-    ids = {pool[nid]: idx for nid, idx in ir._id_table().items()}
-    idtb = [len(ids)]
-    for sid in sorted(ids):
-        idtb.extend((sid, ids[sid]))
+    for name, run in groupby(keys, itemgetter(0)):
+        has: list[int] = []
+        for key in run:
+            members = groups[key]
+            aeqv += (*key, len(aeqv_data), len(members))
+            aeqv_data += members
+            has += members
+        ahas += (name, len(ahas_data), len(has))
+        ahas_data += sorted(has)
+    ahas[0] = (len(ahas) - 1) // 3
 
     return [
-        ("SSRT", _u32_bytes(ssrt)),
+        ("SSRT", _u32_bytes(sorted(range(len(strings)), key=strings.__getitem__))),
         ("PREO", _u32_bytes(pre)),
-        ("SIZE", _u32_bytes(index.size)),
-        ("DOCO", _u32_bytes(index.doc)),
+        ("SIZE", _u32_bytes(size)),
+        ("DOCO", _u32_bytes(doc)),
         ("KNDB", _u32_bytes(kndb)),
-        ("AHAS", _u32_bytes(ahas)),
-        ("AEQV", _u32_bytes(aeqv)),
+        ("AHAS", _u32_bytes(ahas + ahas_data)),
+        ("AEQV", _u32_bytes(aeqv + aeqv_data)),
         ("IDTB", _u32_bytes(idtb)),
     ]
 
 
-def _assemble(sections: list[tuple[str, bytes]]) -> bytes:
+def _id_table(keys, groups, kind_ids, strings, obs) -> list[int]:
+    """``IDTB`` from the sorted ``(name, value)`` keys: every node's
+    ``id``, the first node holding one winning."""
+    try:
+        id_sid = strings.index(b"id")
+    except ValueError:
+        return [0]
+    ids = keys[bisect_left(keys, (id_sid,)) : bisect_left(keys, (id_sid + 1,))]
+    for node, sid, kept in sorted(  # shadowed ids, reported in node order
+        (node, key[1], groups[key][0]) for key in ids for node in groups[key][1:]
+    ):
+        obs.count("ir.id_shadowed")
+        if obs.enabled:
+            obs.mark(
+                "ir.id_shadowed",
+                id=strings[sid].decode("utf-8"),
+                kept_index=kept,
+                kept_kind=strings[kind_ids[kept]].decode("utf-8"),
+                shadowed_index=node,
+                shadowed_kind=strings[kind_ids[node]].decode("utf-8"),
+            )
+    return [len(ids), *chain.from_iterable((key[1], groups[key][0]) for key in ids)]
+
+
+def _assemble(sections: list[tuple[str, Any]]) -> bytes:
     """Lay sections out 8-byte aligned and prepend header + crc table."""
     table_end = _HEADER_LEN + _TABLE_ENTRY.size * len(sections)
-    out: list[bytes] = []
+    out: list[Any] = []
     entries: list[bytes] = []
     offset = table_end
     for tag, payload in sections:
@@ -715,15 +805,19 @@ def read_section_table(data) -> list[tuple[str, int, int, int]]:
     Validates only the header and table checksum — corrupt *sections*
     are still listed, which is exactly what corruption tooling needs."""
     mv = memoryview(data)
-    if len(mv) < _HEADER_LEN or bytes(mv[:8]) != MAGIC_V2:
-        raise QueryError("not an XPDL v2 runtime image")
+    if bytes(mv[:8]) != MAGIC_V2:
+        raise QueryError("not an XPDL runtime model file (bad magic)")
+    if len(mv) < _HEADER_LEN:
+        raise QueryError("truncated XPDL runtime model file")
     _total, count, table_crc, _reserved = struct.unpack_from("<IIII", mv, 8)
+    if count > _MAX_SECTIONS:
+        raise QueryError("corrupt XPDL v2 runtime image: implausible section count")
     table_end = _HEADER_LEN + _TABLE_ENTRY.size * count
-    if count > _MAX_SECTIONS or table_end > len(mv):
-        raise QueryError("corrupt XPDL v2 runtime image header")
+    if table_end > len(mv):
+        raise QueryError("truncated XPDL v2 runtime image (section table)")
     table = mv[_HEADER_LEN:table_end]
     if _crc(table) != table_crc:
-        raise QueryError("corrupt XPDL v2 runtime image: table checksum")
+        raise QueryError("corrupt XPDL v2 runtime image: section table checksum mismatch")
     return [
         (
             _tag_str(row[0]),

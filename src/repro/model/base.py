@@ -193,10 +193,13 @@ class ModelElement:
         child.parent = None
 
     def walk(self) -> Iterator["ModelElement"]:
-        """Depth-first pre-order traversal including ``self``."""
-        yield self
-        for c in self.children:
-            yield from c.walk()
+        """Depth-first pre-order traversal including ``self`` (an explicit
+        stack: any depth, one generator frame)."""
+        stack = [self]
+        while stack:
+            elem = stack.pop()
+            yield elem
+            stack += reversed(elem.children)
 
     def find_all(self, cls: type[E]) -> list[E]:
         """All descendants (including self) of the given element class."""

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..diagnostics import (
+    Diagnostic,
     DiagnosticSink,
     ResolutionError,
     SourceSpan,
@@ -67,6 +68,9 @@ class LoadedModel:
     model: ModelElement
     entry: IndexEntry | None
     text: str = field(repr=False, default="")
+    #: The errors its parse and validation emitted (kept because a
+    #: cached load emits nothing into the next caller's sink).
+    errors: tuple[Diagnostic, ...] = field(repr=False, default=())
 
 
 class ModelRepository:
@@ -237,11 +241,15 @@ class ModelRepository:
             finally:
                 self._drain_store_notices(sink)
         obs.count("repo.load.parsed")
+        errors_before = sink.error_count
         doc = parse_xml(text, source_name=f"{entry.store.url}{entry.path}", sink=sink)
         model = from_document(doc)
         if self.validate:
             self._validator.validate(model, sink)
-        loaded = LoadedModel(identifier, model, entry, text)
+        errors: tuple[Diagnostic, ...] = ()
+        if sink.error_count > errors_before:
+            errors = tuple(sink.errors()[errors_before:])
+        loaded = LoadedModel(identifier, model, entry, text, errors)
         self._models[identifier] = loaded
         return loaded
 

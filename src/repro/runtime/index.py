@@ -2,7 +2,7 @@
 
 Sec. IV makes the runtime query API the hot path: adaptive applications
 introspect the light-weight model *inside* their optimization loops, so
-queries must cost near nothing.  :class:`IRIndex` is built once per IR
+queries must cost near nothing.  :class:`IRIndex` is adopted once per IR
 (the IR is read-only by design, so nothing here ever invalidates) and
 turns the naive tree walks into table lookups:
 
@@ -22,10 +22,11 @@ turns the naive tree walks into table lookups:
   ``device``/``gpu`` buckets, the ``static_power`` attribute run) and
   visits just them and their physical ancestors.
 
-On an index adopted from a mapped ``XPDLRT02`` image every one of these
-structures reads the mapped sections: the analyses walk the ``RECS``
-kind ids and parents and match non-physical kinds by string-pool id, so
-the only :class:`~repro.ir.IRNode` objects they materialize are the
+Every one of these structures reads the model's mapped ``XPDLRT02``
+index sections (which :mod:`repro.ir.image` derives from the core
+records): the analyses walk the ``RECS`` kind ids and parents and match
+non-physical kinds by string-pool id, so the only
+:class:`~repro.ir.IRNode` objects they materialize are the
 ``static_power`` carriers and the ``programming_model`` children of
 ``device``/``gpu`` nodes, whose attributes they read.
 
@@ -41,6 +42,7 @@ from itertools import chain
 from typing import TYPE_CHECKING, Any
 
 from ..analysis import NON_PHYSICAL_KINDS
+from ..ir.image import _NO_PARENT, _UNREACHABLE
 from ..obs import get_observer
 from ..units import POWER, Quantity, read_metric
 
@@ -48,14 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..ir import IRModel
 
 _EMPTY_BUCKET: tuple[list[int], list[int]] = ([], [])
-_EMPTY_SET: frozenset[int] = frozenset()
 _ZERO_POWER = Quantity(0.0, POWER)
-
-#: v2 images store "unreachable from root" as the u32 all-ones sentinel
-#: (a mapped u32 view cannot hold the eager build's -1).
-_UNREACHABLE = 0xFFFFFFFF
-#: The root's parent in the image's RECS section (and in the eager plan).
-_NO_PARENT = 0xFFFFFFFF
 
 
 class _ImageKinds:
@@ -102,11 +97,11 @@ class _ImageChildren:
 class IRIndex:
     """Read-only acceleration structures for one :class:`IRModel`.
 
-    Built once (``IRModel.index()`` memoizes construction); never
-    invalidated — the runtime IR is immutable by design.  A model backed
-    by an intact v2 image skips construction entirely: the pre/size/doc
-    arrays, kind buckets and attribute node sets are *views* over the
-    mapped sections (attribute sets materialize lazily per key).
+    Adopted once (``IRModel.index()`` memoizes it); never invalidated —
+    the runtime IR is immutable by design.  Construction builds nothing:
+    the pre/size/doc arrays and kind buckets are *views* over the
+    model's mapped index sections, and attribute node sets materialize
+    lazily per key.
     """
 
     __slots__ = (
@@ -126,97 +121,14 @@ class IRIndex:
         "_static_power_w",
     )
 
-    # Eager builds use plain lists/sets; image-backed indexes adopt u32
-    # memoryviews and lazy wrappers — one declaration covers both.
-    kinds: Any
-    children: Any
+    # u32 memoryviews (byteswapped array copies on big-endian hosts).
     pre: Any
     size: Any
     doc: Any
-    _image: Any
-    _buckets: Any
-    _attr_has: Any
-    _attr_eq: Any
 
-    def __init__(self, ir: "IRModel", *, use_image: bool = True) -> None:
+    def __init__(self, ir: "IRModel") -> None:
+        image = ir._image
         self.ir = ir
-        image = getattr(ir, "_image", None) if use_image else None
-        if image is not None and image.index_ok:
-            self._init_from_image(image)
-            return
-        self._image = None
-        nodes = ir.nodes
-        n = len(nodes)
-        self.kinds = [node.kind for node in nodes]
-        self.children = [node.children for node in nodes]
-
-        # -- pre-order numbering + subtree sizes (iterative, any depth) ----
-        pre = [-1] * n
-        size = [1] * n
-        doc: list[int] = []
-        if n:
-            stack: list[int] = [~0, 0]  # ~i marks the post-visit of i
-            while stack:
-                i = stack.pop()
-                if i < 0:
-                    i = ~i
-                    parent = nodes[i].parent
-                    if parent is not None:
-                        size[parent] += size[i]
-                    continue
-                pre[i] = len(doc)
-                doc.append(i)
-                for c in reversed(nodes[i].children):
-                    stack.append(~c)
-                    stack.append(c)
-        self.pre = pre
-        self.size = size
-        self.doc = doc
-
-        # -- kind buckets + attribute indexes, in document order -----------
-        buckets: dict[str, tuple[list[int], list[int]]] = {}
-        attr_has: dict[str, set[int]] = {}
-        attr_eq: dict[tuple[str, str], set[int]] = {}
-        kinds = self.kinds
-        for pos, i in enumerate(doc):
-            bucket = buckets.get(kinds[i])
-            if bucket is None:
-                bucket = buckets[kinds[i]] = ([], [])
-            bucket[0].append(pos)
-            bucket[1].append(i)
-            for name, value in nodes[i].attrs.items():
-                has = attr_has.get(name)
-                if has is None:
-                    has = attr_has[name] = set()
-                has.add(i)
-                eq = attr_eq.get((name, value))
-                if eq is None:
-                    eq = attr_eq[(name, value)] = set()
-                eq.add(i)
-        self._buckets = buckets
-        self._attr_has = attr_has
-        self._attr_eq = attr_eq
-
-        # -- derived-analysis memos (built lazily, per analysis) -----------
-        self._plan: tuple[Any, Any, Any] | None = None
-        self._kind_counts: dict[str, list[int]] = {}
-        self._cuda_counts: list[int] | None = None
-        self._static_power_w: list[float] | None = None
-
-        obs = get_observer()
-        if obs.enabled:
-            obs.count("runtime.index_builds")
-            obs.count("runtime.index_nodes", n)
-            if getattr(ir, "_load_origin", None) is not None:
-                # A persisted model was opened without a usable index:
-                # this build is exactly the startup tax the v2 image
-                # format exists to avoid.  CI asserts this stays 0 on
-                # the warm path.
-                obs.count("index.rebuilds")
-                obs.mark("index.rebuild", origin=ir._load_origin)
-
-    def _init_from_image(self, image) -> None:
-        """Adopt the mapped index sections — zero construction work."""
         self._image = image
         self.kinds = _ImageKinds(image)
         self.children = _ImageChildren(image)
@@ -225,22 +137,19 @@ class IRIndex:
         self.doc = image.doc
         self._buckets = image.buckets
         # Lazy per-key materialization caches (image lookups fill them).
-        self._attr_has = {}
-        self._attr_eq = {}
-        self._plan = None
-        self._kind_counts = {}
-        self._cuda_counts = None
-        self._static_power_w = None
-        obs = get_observer()
-        if obs.enabled:
-            obs.count("index.load_mmap")
-            obs.count("runtime.index_nodes", image.n)
+        self._attr_has: dict[str, frozenset[int]] = {}
+        self._attr_eq: dict[tuple[str, str], frozenset[int]] = {}
+        self._plan: tuple[Any, Any, set[int]] | None = None
+        self._kind_counts: dict[str, list[int]] = {}
+        self._cuda_counts: list[int] | None = None
+        self._static_power_w: list[float] | None = None
+        get_observer().count("index.load_mmap")
 
     # -- structure queries -------------------------------------------------
     def interval(self, i: int) -> tuple[int, int]:
         """Document-position interval of the *strict* descendants of ``i``."""
         p = self.pre[i]
-        if p < 0 or p == _UNREACHABLE:  # unreachable from the root
+        if p == _UNREACHABLE:  # unreachable from the root
             return (0, 0)
         return (p + 1, p + self.size[i])
 
@@ -267,53 +176,38 @@ class IRIndex:
         p = self.pre[d]
         return lo <= p < hi
 
-    def attr_has(self, name: str) -> frozenset[int] | set[int]:
-        image = self._image
-        if image is None:
-            return self._attr_has.get(name, _EMPTY_SET)
+    def attr_has(self, name: str) -> frozenset[int]:
         members = self._attr_has.get(name)
         if members is None:
-            members = self._attr_has[name] = image.attr_has_set(name)
+            members = self._attr_has[name] = self._image.attr_has_set(name)
         return members
 
-    def attr_eq(self, name: str, value: str) -> frozenset[int] | set[int]:
-        image = self._image
-        if image is None:
-            return self._attr_eq.get((name, value), _EMPTY_SET)
+    def attr_eq(self, name: str, value: str) -> frozenset[int]:
         members = self._attr_eq.get((name, value))
         if members is None:
-            members = self._attr_eq[(name, value)] = image.attr_eq_set(
+            members = self._attr_eq[(name, value)] = self._image.attr_eq_set(
                 name, value
             )
         return members
 
     # -- memoized model analyses -------------------------------------------
-    def _physical_plan(self) -> tuple[Any, Any, Any]:
+    def _physical_plan(self) -> tuple[Any, Any, set[int]]:
         """``(kind ids, parents, non-physical kind ids)``, built once and
-        shared by every analysis.  Image-backed indexes read the mapped
-        RECS kind ids and parents and match non-physical kinds by pool
-        id; eager ones use the kind strings and the nodes' parents.
-        Only kinds with a bucket matter: the analyses climb from
-        reachable nodes, whose ancestors are all reachable."""
+        shared by every analysis: the mapped RECS kind ids and parents,
+        and the pool ids of the non-physical kinds.  Only kinds with a
+        bucket matter: the analyses climb from reachable nodes, whose
+        ancestors are all reachable."""
         plan = self._plan
         if plan is None:
             image = self._image
-            if image is not None:
-                # A kind's pool id is the kind id of any node in its bucket.
-                kind_ids = image.kind_ids
-                nonphysical = {
-                    kind_ids[indexes[0]]
-                    for kind, (_positions, indexes) in image.buckets.items()
-                    if kind in NON_PHYSICAL_KINDS and len(indexes)
-                }
-                plan = (kind_ids, image.parents, nonphysical)
-            else:
-                parents = [
-                    _NO_PARENT if node.parent is None else node.parent
-                    for node in self.ir.nodes
-                ]
-                plan = (self.kinds, parents, NON_PHYSICAL_KINDS)
-            self._plan = plan
+            # A kind's pool id is the kind id of any node in its bucket.
+            kind_ids = image.kind_ids
+            nonphysical = {
+                kind_ids[indexes[0]]
+                for kind, (_positions, indexes) in image.buckets.items()
+                if kind in NON_PHYSICAL_KINDS and len(indexes)
+            }
+            plan = self._plan = (kind_ids, image.parents, nonphysical)
         return plan
 
     def _physical_sums(self, own: dict[int, Any], zero: Any) -> list:

@@ -15,11 +15,10 @@ function categories over the light-weight runtime IR file:
 Everything is read-only, matching the introspection use of conditional
 composition [3].  Because the queries run *inside* applications'
 optimization loops, the context is backed by a compiled
-:class:`~repro.runtime.index.IRIndex` (adopted from the mapped image at
-:func:`xpdl_init`, or built once): browsing serves interned handles out
-of kind buckets and document-order intervals instead of re-walking the
-tree, and the analysis functions are O(1) reads of memoized post-order
-aggregates.
+:class:`~repro.runtime.index.IRIndex`, adopted from the model's image:
+browsing serves interned handles out of kind buckets and document-order
+intervals instead of re-walking the tree, and the analysis functions
+are O(1) reads of memoized post-order aggregates.
 
 A handle is ``(context, node index)``: its kind comes from the index,
 and browsing (children, descendants, path results) moves between node
@@ -206,8 +205,9 @@ class QueryContext:
         return self.handle(self.ir.root.index)
 
     def by_id(self, ident: str) -> ModelHandle | None:
-        node = self.ir.by_id(ident)
-        return self.handle(node.index) if node is not None else None
+        # The id table yields a node index: no record is decoded.
+        index = self.ir._image.id_index(ident)
+        return self.handle(index) if index is not None else None
 
     def find_all(self, kind: str) -> list[ModelHandle]:
         _, indexes = self.index.bucket(kind)
@@ -298,9 +298,9 @@ def xpdl_init(filename: str) -> QueryContext:
     raises :class:`QueryError` on unreadable or malformed files instead of
     returning an error code.  A v2 image file is mmapped and its persisted
     index adopted in place (``index.load_mmap``); core-only images and
-    images with damaged index sections fall back to a live index build
-    (``index.rebuilds``).  Either way the cold-open latency lands in the
-    ``index.open_s`` histogram.
+    images with damaged index sections get their index sections rebuilt
+    from the core sections (``index.rebuilds``).  Either way the
+    cold-open latency lands in the ``index.open_s`` histogram.
     """
     obs = get_observer()
     t0 = time.perf_counter()

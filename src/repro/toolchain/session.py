@@ -510,15 +510,16 @@ class ToolchainSession:
             root, dropped_attrs, dropped_elements = filter_model(
                 root, runtime_default_filter()
             )
-        # Serialize once; the artifact is the model opened over those bytes.
-        image = IRModel.from_model(
+        # Serialized once: the artifact is the model opened over its image.
+        ir = IRModel.from_model(
             root,
             {
                 "system": identifier,
                 "tool": "xpdl compose",
                 "schema": f"{CORE_SCHEMA.name} {CORE_SCHEMA.version}",
             },
-        ).to_bytes()
+        )
+        image = ir.to_bytes()
         if self.disk_cache is not None:
             try:
                 self.disk_cache.store_image(image)
@@ -527,7 +528,7 @@ class ToolchainSession:
                 # file, never the build.
                 self._warn_unwritable(exc)
         result = EmitResult(
-            ir=IRModel.from_bytes(image),
+            ir=ir,
             referenced=composed.referenced,
             image_key=hashlib.sha256(image).hexdigest(),
             dropped_attrs=dropped_attrs,

@@ -102,9 +102,9 @@ class TestBatchBuild:
         serialized = []
         build_image = ir_format.build_image
 
-        def counting_build_image(ir, **kw):
-            serialized.append(ir)
-            return build_image(ir, **kw)
+        def counting_build_image(records, meta, **kw):
+            serialized.append(meta["system"])
+            return build_image(records, meta, **kw)
 
         monkeypatch.setattr(ir_format, "build_image", counting_build_image)
 

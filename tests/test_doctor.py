@@ -51,6 +51,8 @@ SEEDED_FILES = {
     "bad_dimension.xpdl": (
         "<cache name='BadDimCache' frequency='2' frequency_unit='GB'/>"
     ),
+    # XPDL0705: a descriptor that loads with an error (unknown entity).
+    "bad_entity.xpdl": "<cpu name='BadChip'>&bogus;<core/></cpu>",
     # System with the remaining seeds: dangling instruction_set (0700),
     # ghost power domain (0702), PSM defects (0710-0712), interconnect
     # endpoint/cardinality/bandwidth defects (0713-0715).
@@ -306,6 +308,13 @@ class TestBandwidthRule:
                 "exceeds the nominal max_bandwidth 1e+10 B/s",
             ),
             (
+                # An over-nominal link still has its channels checked.
+                "warning",
+                "mem:bw.xpdl:1:764-829",
+                "channel up of ic_over claims 9.9e+10 B/s, more than its "
+                "link's nominal 1e+10 B/s",
+            ),
+            (
                 "error",
                 "mem:bw.xpdl:1:844-1003",
                 "interconnect ic_nominal: declared effective_bandwidth 3e+09 B/s "
@@ -353,6 +362,42 @@ class TestDoctorCli:
         data = json.loads(out.read_text())
         assert data["summary"]["errors"] > 0
         assert any(f["rule"] == "XPDL0700" for f in data["findings"])
+
+    def test_unloadable_descriptor_fails_the_doctor(self, tmp_path, capsys):
+        from repro.cli import main
+
+        d = tmp_path / "models"
+        d.mkdir()
+        (d / "BadChip.xpdl").write_text("<cpu name='BadChip'>&bogus;<core/></cpu>")
+        (d / "badsys.xpdl").write_text(
+            "<system id='badsys'><cpu id='c0' type='BadChip'/></system>"
+        )
+        assert main(["-I", str(d), "validate", "BadChip"]) == 1
+        capsys.readouterr()
+        assert main(["-I", str(d), "doctor", "--format", "json"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        (finding,) = [f for f in data["findings"] if f["rule"] == "XPDL0705"]
+        assert finding["subject"] == "BadChip"
+        assert "XML0012" in finding["message"]
+        assert finding["location"].endswith("BadChip.xpdl:1:21-28")
+
+    def test_unloadable_descriptor_found_after_a_cached_load(self):
+        # A session that already loaded the descriptor (to compose the
+        # system) replays no diagnostics; the finding must not vanish.
+        store = MemoryStore(
+            {
+                "chip.xpdl": "<cpu name='BadChip'>&bogus;<core/></cpu>",
+                "sys.xpdl": "<system id='badsys'><cpu id='c0' type='BadChip'/></system>",
+            }
+        )
+        session = ToolchainSession(
+            ModelRepository([store]), sink=DiagnosticSink(max_errors=100)
+        )
+        session.compose("badsys")
+        report = session.doctor(REPOSITORY_SCOPE)
+        assert [f.subject for f in report.findings if f.rule == "XPDL0705"] == [
+            "BadChip"
+        ]
 
     def test_clean_run_exits_zero(self, capsys):
         from repro.cli import main

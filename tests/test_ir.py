@@ -1,5 +1,7 @@
 """Tests for the runtime IR: structure, binary/JSON round-trips."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -124,7 +126,7 @@ class TestJsonFormat:
         ir = IRModel.from_model(model(SAMPLE))
         path = str(tmp_path / "m.json")
         ir.save(path)
-        text = open(path).read()
+        text = Path(path).read_text()
         assert text.lstrip().startswith("{")
         assert len(IRModel.load(path)) == len(ir)
 

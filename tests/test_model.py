@@ -1,7 +1,10 @@
 """Unit tests for the model object layer."""
 
+import sys
+
 import pytest
 
+from repro.ir import IRModel
 from repro.model import (
     Cache,
     Channel,
@@ -120,6 +123,31 @@ class TestTree:
         assert len(list(m.walk())) == 4
         assert m.find_child(Group) is not None
         assert m.find_child(Cache) is None  # cache is nested deeper
+
+    def test_walk_is_the_recursive_pre_order(self):
+        def recursive(e):
+            yield e
+            for c in e.children:
+                yield from recursive(c)
+
+        m = parse_model(
+            "<system id='s'><node><cpu id='c'><core/><core/></cpu>"
+            "<memory id='m'/></node><node><gpu id='g'/></node><cache/></system>"
+        )
+        assert list(m.walk()) == list(recursive(m))
+
+    def test_walk_past_the_recursion_limit(self):
+        # A chain of groups, each also holding a core, deeper than the
+        # recursion limit; its pre-order is the construction order.
+        depth = sys.getrecursionlimit() + 100
+        root = elem = Group()
+        expected = [root]
+        for _ in range(depth):
+            core, elem = elem.add(Core()), elem.add(Group())
+            expected += [core, elem]
+        assert list(root.walk()) == expected
+        assert root.find_all(Core) == expected[1::2]
+        assert len(IRModel.from_model(root)) == 2 * depth + 1
 
     def test_parent_links(self):
         m = parse_model("<cpu name='X'><core/></cpu>")

@@ -52,7 +52,7 @@ def ir_from_spec(spec) -> IRModel:
         return idx
 
     rec(spec, None)
-    return IRModel(nodes)
+    return IRModel.from_nodes(nodes)
 
 
 def chain_ir(depth: int, leaf_kind: str = "core") -> IRModel:
@@ -64,7 +64,7 @@ def chain_ir(depth: int, leaf_kind: str = "core") -> IRModel:
     leaf = IRNode(depth + 1, leaf_kind, depth, {})
     nodes[depth].children.append(leaf.index)
     nodes.append(leaf)
-    return IRModel(nodes)
+    return IRModel.from_nodes(nodes)
 
 
 SAMPLE_SPEC = (
@@ -97,7 +97,7 @@ class TestIRIndex:
     def test_document_order_matches_walk(self):
         ir = ir_from_spec(SAMPLE_SPEC)
         index = ir.index()
-        assert index.doc == [n.index for n in ir.walk()]
+        assert list(index.doc) == [n.index for n in ir.walk()]
         assert [index.pre[i] for i in index.doc] == list(range(len(ir)))
 
     def test_index_is_built_once(self):
@@ -130,7 +130,7 @@ class TestIRIndex:
         index = ir.index()
         for kind in ("core", "node", "device", "nope"):
             _, indexes = index.bucket(kind)
-            assert indexes == [n.index for n in ir.walk() if n.kind == kind]
+            assert list(indexes) == [n.index for n in ir.walk() if n.kind == kind]
 
     def test_attribute_indexes(self):
         ir = ir_from_spec(SAMPLE_SPEC)
@@ -141,11 +141,15 @@ class TestIRIndex:
         assert index.attr_has("nope") == frozenset()
 
     def test_index_build_counters(self):
-        ir = ir_from_spec(SAMPLE_SPEC)
+        # The index sections are built once, when the model is serialized;
+        # adopting them builds nothing more.
         with use_observer(Observer()) as obs:
-            ir.index()
+            ir = ir_from_spec(SAMPLE_SPEC)
             assert obs.counter("runtime.index_builds") == 1
             assert obs.counter("runtime.index_nodes") == len(ir)
+            ir.index()
+            assert obs.counter("runtime.index_builds") == 1
+            assert obs.counter("index.load_mmap") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -190,19 +194,18 @@ class TestHandles:
 
 class TestDuplicateIds:
     def test_shadowed_id_is_counted_and_marked(self):
-        ir = ir_from_spec(
-            (
-                "system",
-                {},
-                [
-                    ("cpu", {"id": "dup"}, []),
-                    ("device", {"id": "dup"}, []),
-                    ("cache", {"id": "unique"}, []),
-                ],
-            )
+        spec = (
+            "system",
+            {},
+            [
+                ("cpu", {"id": "dup"}, []),
+                ("device", {"id": "dup"}, []),
+                ("cache", {"id": "unique"}, []),
+            ],
         )
         with use_observer(Observer()) as obs:
-            assert ir.by_id("dup").kind == "cpu"  # first wins ...
+            ir = ir_from_spec(spec)  # the id table is written here ...
+            assert ir.by_id("dup").kind == "cpu"  # ... first wins ...
             assert obs.counter("ir.id_shadowed") == 1  # ... but loudly
             marks = [e for e in obs.events if e.name == "ir.id_shadowed"]
             assert len(marks) == 1
@@ -231,8 +234,8 @@ class TestDuplicateIds:
         assert [m.fields["shadowed_kind"] for m in marks] == ["device"]
 
     def test_unique_ids_stay_silent(self):
-        ir = ir_from_spec(SAMPLE_SPEC)
         with use_observer(Observer()) as obs:
+            ir = ir_from_spec(SAMPLE_SPEC)
             assert ir.by_id("g0") is not None
             assert obs.counter("ir.id_shadowed") == 0
 
@@ -527,7 +530,7 @@ def _phys_specs(draw, depth=0):
 class TestAnalysisEquivalence:
     """Memoized aggregates vs independently written recursive references,
     and bit for bit vs the dense post-order pass (``analysis_oracle``),
-    on an eager index and on one adopted from a serialized image."""
+    on a freshly serialized model and on one reopened from its bytes."""
 
     @staticmethod
     def _ref_count(ir, i, kind):

@@ -4,22 +4,23 @@ Covers the PR-7 acceptance criteria:
 
 * **Query equivalence** — an IR opened from a serialized image (mmap or
   bytes) answers every structure query, path query and memoized analysis
-  identically to a freshly built :class:`IRIndex` *and* to the naive
-  uncompiled evaluator (property-based over random trees, plus the
-  largest corpus model).
+  as the walk-based index oracle (``tests/index_oracle.py``) and the
+  naive uncompiled evaluator do (property-based over random trees, plus
+  the largest corpus model).
 * **Version skew** — files of the retired ``XPDLRT01`` format, garbage
   and truncated v2 images are rejected loudly, never misread; an
   index-less (core-only) image loads with ``index.rebuilds``
   accounting.
-* **Degradation** — a damaged *index* section falls back to a live
-  rebuild with a warning and correct answers; damaged *core* sections
-  raise :class:`QueryError`.
+* **Rebuild** — a core-only image, or one with a damaged *index*
+  section, is rebuilt from its core sections at open, with a warning, to
+  the intact image's bytes; damaged *core* sections raise
+  :class:`QueryError`.
 * **Cache integration** — ``emit_ir`` persists the image in the disk
   cache and its record, :class:`ModelHost` reopens the record with zero
   index construction, a corrupted record is a counted miss that is
   rebuilt, and ``xpdl cache verify`` exits nonzero on a corrupted image;
   every model ``xpdl build`` writes reopens twice without building an
-  index and answers the analyses like an eager index.
+  index and matches the index oracle.
 * **Lazy reads** — path queries and the model analyses over an image
   materialize only the IR nodes whose attributes they read.
 """
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import glob
 import hashlib
+import json
 import os
 import warnings
 from pathlib import Path
@@ -44,6 +46,7 @@ from repro.runtime import query_all, query_all_naive, xpdl_init, xpdl_init_from_
 from repro.runtime.index import IRIndex
 from repro.xpdlxml import parse_xml
 from tests import analysis_oracle
+from tests.index_oracle import IndexOracle
 
 
 def model(text: str):
@@ -57,6 +60,8 @@ SAMPLE = (
     "</node></system>"
 )
 
+PAPER_SYSTEMS = ("XScluster", "liu_gpu_server", "myriad_server")
+
 PATHS = (
     "//core",
     "//cpu/core",
@@ -66,39 +71,36 @@ PATHS = (
 )
 
 
-def fresh_index(ir: IRModel) -> IRIndex:
-    return IRIndex(ir, use_image=False)
+def core_only(ir: IRModel) -> bytes:
+    """``ir``'s image without its index sections."""
+    records = ((n.kind, n.parent, n.attrs) for n in ir.nodes)
+    return build_image(records, ir.meta, with_index=False)
 
 
-def assert_index_equal(a: IRIndex, b: IRIndex) -> None:
-    """Every derived structure of ``a`` must match ``b`` exactly."""
-    n = len(a.ir)
-    assert list(a.doc) == list(b.doc)
-    assert list(a.size) == list(b.size)
-    # pre uses -1 (eager) vs u32-max (image) for unreachable nodes; the
-    # public contract is interval(), which must agree everywhere.
-    for i in range(n):
-        assert a.interval(i) == b.interval(i)
-    kinds = {node.kind for node in a.ir.nodes}
-    for kind in sorted(kinds) + ["ghost"]:
-        pa, ia = a.bucket(kind)
-        pb, ib = b.bucket(kind)
-        assert list(pa) == list(pb)
-        assert list(ia) == list(ib)
-        assert a.kind_counts(kind) == b.kind_counts(kind)
-    names = {k for node in a.ir.nodes for k in node.attrs}
+def assert_index_matches(index: IRIndex) -> None:
+    """Every structure of ``index`` equals the walk-based oracle's."""
+    ir = index.ir
+    want = IndexOracle(ir)
+    assert list(index.doc) == want.doc
+    for i, node in enumerate(ir.nodes):
+        assert index.interval(i) == want.interval(i)
+        assert index.kinds[i] == node.kind
+        assert list(index.children[i]) == node.children
+        lo, hi = want.interval(i)
+        assert list(index.descendant_slice(i)) == want.doc[lo:hi]
+    for kind in sorted({node.kind for node in ir.nodes}) + ["ghost"]:
+        positions, indexes = index.bucket(kind)
+        assert (list(positions), list(indexes)) == want.buckets.get(kind, ([], []))
+    names = {k for node in ir.nodes for k in node.attrs}
     for name in sorted(names) + ["ghost"]:
-        assert set(a.attr_has(name)) == set(b.attr_has(name))
-    pairs = {(k, v) for node in a.ir.nodes for k, v in node.attrs.items()}
+        assert set(index.attr_has(name)) == want.attr_has.get(name, set())
+    pairs = {(k, v) for node in ir.nodes for k, v in node.attrs.items()}
     for name, value in sorted(pairs) + [("ghost", "x")]:
-        assert set(a.attr_eq(name, value)) == set(b.attr_eq(name, value))
-    for i in range(n):
-        assert list(a.children[i]) == list(b.children[i])
-        assert a.kinds[i] == b.kinds[i]
-        assert list(a.descendant_slice(i)) == list(b.descendant_slice(i))
-    assert a.cuda_counts() == b.cuda_counts()
-    assert a.static_power_w() == b.static_power_w()  # bit for bit
-    assert_analyses_dense(a)
+        assert set(index.attr_eq(name, value)) == want.attr_eq.get((name, value), set())
+    for ident, i in want.ids.items():
+        assert ir.by_id(ident).index == i
+    assert ir.by_id("no node has this id") is None
+    assert_analyses_dense(index)
 
 
 def assert_analyses_dense(index: IRIndex) -> None:
@@ -148,9 +150,12 @@ def ir_trees(draw, depth=3):
 @given(ir_trees())
 def test_image_index_equals_fresh_property(tree):
     ir = IRModel.from_model(tree)
-    loaded = IRModel.from_bytes(ir.to_bytes())
-    assert loaded._image is not None and loaded._image.index_ok
-    assert_index_equal(IRIndex(loaded), fresh_index(ir))
+    obs = Observer()
+    with use_observer(obs):
+        loaded = IRModel.from_bytes(ir.to_bytes())
+        assert_index_matches(loaded.index())
+    assert "runtime.index_builds" not in obs.counters
+    assert loaded.to_bytes() == ir.to_bytes()
 
 
 @settings(deadline=None, max_examples=40)
@@ -191,7 +196,7 @@ class TestCorpusImage:
         assert obs.counters.get("runtime.index_builds", 0) == 0
 
         fresh = xpdl_init_from_model(ir)
-        assert_index_equal(ctx.index, fresh.index)
+        assert_index_matches(ctx.index)
         for path_expr in PATHS:
             assert [h.index for h in query_all(ctx, path_expr)] == [
                 h.index for h in query_all(fresh, path_expr)
@@ -295,18 +300,28 @@ def _corrupt_section(data: bytes, tag: str) -> bytes:
 
 
 class TestCorruption:
-    def test_index_damage_degrades_with_warning(self):
-        ir = IRModel.from_model(model(SAMPLE))
-        bad = _corrupt_section(ir.to_bytes(), "PREO")
+    @staticmethod
+    def _rebuilt(data: bytes) -> tuple[IRModel, Observer]:
+        """Open ``data``, whose index is unusable, and adopt the index."""
         obs = Observer()
         with use_observer(obs), pytest.warns(XirImageWarning):
-            loaded = IRModel.from_bytes(bad)
-        assert loaded._load_origin is not None
-        # Core records are intact: the rebuilt index answers correctly.
-        with use_observer(obs):
-            idx = IRIndex(loaded)
+            loaded = IRModel.from_bytes(data)
+        # Rebuilt once, at open, and marked; adoption builds nothing more.
         assert obs.counters.get("index.rebuilds") == 1
-        assert_index_equal(idx, fresh_index(ir))
+        assert obs.counters.get("runtime.index_builds") == 1
+        assert [e.name for e in obs.events if e.name == "index.rebuild"] == [
+            "index.rebuild"
+        ]
+        with use_observer(obs):
+            assert_index_matches(loaded.index())
+        assert obs.counters.get("runtime.index_builds") == 1
+        return loaded, obs
+
+    def test_index_damage_degrades_with_warning(self):
+        ir = IRModel.from_model(model(SAMPLE))
+        loaded, _ = self._rebuilt(_corrupt_section(ir.to_bytes(), "PREO"))
+        # Core records are intact: the rebuild restores the intact image.
+        assert loaded.to_bytes() == ir.to_bytes()
 
     @pytest.mark.parametrize("tag", ["RECS", "SPOL", "CHLD"])
     def test_core_damage_raises(self, tag):
@@ -317,16 +332,70 @@ class TestCorruption:
 
     def test_core_only_image_loads_degraded(self):
         ir = IRModel.from_model(model(SAMPLE), {"k": "v"})
-        data = build_image(ir, with_index=False)
-        with pytest.warns(XirImageWarning):
-            loaded = IRModel.from_bytes(data)
+        loaded, _ = self._rebuilt(core_only(ir))
         assert loaded.meta == {"k": "v"}
-        assert loaded._load_origin is not None
-        obs = Observer()
-        with use_observer(obs):
-            idx = IRIndex(loaded)
-        assert obs.counters.get("index.rebuilds") == 1
-        assert_index_equal(idx, fresh_index(ir))
+        assert loaded.to_bytes() == ir.to_bytes()
+
+    def test_rebuilds_equal_the_intact_images(self, repo, tmp_path):
+        """For the paper systems and the bench corpus, a core-only image,
+        an image with any one index section damaged and the JSON form
+        reopen to the intact image's bytes."""
+        from repro.composer import Composer
+        from repro.corpus import generate_corpus
+        from repro.ir.image import INDEX_SECTIONS
+        from repro.modellib import standard_repository
+
+        corpus = generate_corpus(7, 40)
+        corpus.write_to(str(tmp_path))
+        bench = standard_repository(str(tmp_path), use_env=False)
+        roots = [Composer(repo).compose(s).root for s in PAPER_SYSTEMS]
+        roots += [Composer(bench).compose(s).root for s in corpus.systems]
+        assert len(roots) == 15
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", XirImageWarning)
+            for root in roots:
+                ir = IRModel.from_model(root, {"system": root.ident or "?"})
+                intact = ir.to_bytes()
+                damaged = [core_only(ir)]
+                damaged += [_corrupt_section(intact, tag) for tag in INDEX_SECTIONS]
+                for data in damaged:
+                    assert IRModel.from_bytes(data).to_bytes() == intact
+                assert IRModel.from_json(ir.to_json()).to_bytes() == intact
+
+
+class TestUnreachableNodes:
+    """JSON IRs carry only parent links, so they can hold a second root."""
+
+    def test_second_root_is_indexed_by_id_only(self):
+        ir = IRModel.from_model(model(SAMPLE))
+        data = json.loads(ir.to_json())
+        orphan = len(data["nodes"])
+        data["nodes"] += [
+            {"kind": "cpu", "parent": None, "attrs": {"id": "lost", "frequency": "2"}},
+            {"kind": "core", "parent": orphan, "attrs": {"id": "lost_core"}},
+        ]
+        loaded = IRModel.from_json(json.dumps(data))
+        index = loaded.index()
+        for i in (orphan, orphan + 1):
+            assert index.interval(i) == (0, 0)
+            assert all(i not in index.bucket(kind)[1] for kind in ("cpu", "core"))
+            assert i not in index.attr_has("id")
+        assert loaded.by_id("lost").index == orphan
+        assert loaded.by_id("lost_core").index == orphan + 1
+        ctx = xpdl_init_from_model(loaded)
+        for path in PATHS:
+            got = [h.index for h in query_all(ctx, path)]
+            assert got == [h.index for h in query_all_naive(ctx, path)]
+            assert orphan not in got and orphan + 1 not in got
+        assert_index_matches(index)
+        assert IRModel.from_json(loaded.to_json()).to_bytes() == loaded.to_bytes()
+
+    @pytest.mark.parametrize("parents", [(1, 0), (0, 0), (None, 5), (None, -1)])
+    def test_parents_that_form_no_tree_raise(self, parents):
+        nodes = [{"kind": "node", "parent": p, "attrs": {}} for p in parents]
+        text = json.dumps({"format": "XPDLRT02", "meta": {}, "nodes": nodes})
+        with pytest.raises(QueryError):
+            IRModel.from_json(text)
 
 
 # ---------------------------------------------------------------------------
@@ -436,11 +505,7 @@ class TestCacheIntegration:
                 assert counters.get("index.load_mmap") == 1, (path, attempt)
                 assert counters.get("runtime.index_builds", 0) == 0
                 assert "index.rebuilds" not in counters, (path, attempt)
-            eager = IRIndex(ctx.ir, use_image=False)
-            for kind in ("core", "cpu", "device"):
-                assert ctx.index.kind_counts(kind) == eager.kind_counts(kind)
-            assert ctx.index.cuda_counts() == eager.cuda_counts()
-            assert ctx.index.static_power_w() == eager.static_power_w()
+            assert_index_matches(ctx.index)
 
     def test_cache_stats_reports_images(self, tmp_path, capsys):
         from repro.toolchain import PersistentStageCache
